@@ -8,6 +8,8 @@ Public surface:
   parser used to write routines the way the paper prints them.
 * :mod:`repro.ir.printer` — C-like pretty printer.
 * :mod:`repro.ir.dependence` — PolyDeps-like dependence analysis.
+* :mod:`repro.ir.fingerprint` — label-free structural encoding (JIT and
+  dependence-memo key).
 * :mod:`repro.ir.interpret` — sequential functional oracle.
 * :mod:`repro.ir.validate` — structural invariants.
 """

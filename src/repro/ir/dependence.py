@@ -12,16 +12,27 @@ tool".  This module plays that role for our IR with two layers:
   are tiny, so exhaustive extraction at sizes ~6–8 is exact for the
   dependence *patterns* (constant-distance and direction information does
   not change with the sizes involved here).
+
+The auto-tuner translates every composed script under every tuning
+config, and the legality checks see the same handful of loop nests
+thousands of times with only their (global-counter) labels changed.
+:func:`analyze_dependences` therefore memoizes its exact result
+process-wide, keyed on the label-free structural encoding of the body
+(:mod:`repro.ir.fingerprint`) plus the trace domain (``sizes``,
+``default_size``); :func:`clear_cache` empties the memo and
+:func:`repro.jit.clear_cache` calls it, so a cold reset is really cold.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .affine import AffineExpr
 from .ast import Assign, ArrayRef, Barrier, Guard, Loop, Node
+from .fingerprint import UnsupportedIR, encode_body
 
 __all__ = [
     "Dependence",
@@ -29,6 +40,8 @@ __all__ = [
     "banerjee_test",
     "may_alias",
     "analyze_dependences",
+    "carried_depths",
+    "clear_cache",
     "direction_vectors_for",
     "interchange_legal",
     "fusion_legal",
@@ -230,12 +243,49 @@ def _direction(src: _Access, dst: _Access) -> Tuple[str, ...]:
     return tuple(common)
 
 
+# structural body encoding x sorted sizes x default_size -> dependence set
+_MEMO: Dict[Tuple, Tuple[Dependence, ...]] = {}
+_LOCK = threading.Lock()
+_MAX_ENTRIES = 4096  # far above any real workload; a leak backstop, not an LRU
+
+
+def clear_cache() -> None:
+    """Forget every memoized dependence set."""
+    with _LOCK:
+        _MEMO.clear()
+
+
 def analyze_dependences(
     body: Sequence[Node],
     sizes: Optional[Mapping[str, int]] = None,
     default_size: int = 6,
 ) -> List[Dependence]:
-    """Extract the dependence set of ``body`` on a small concrete domain."""
+    """Extract the dependence set of ``body`` on a small concrete domain.
+
+    Memoized on the body's label-free structure and the trace domain;
+    bodies the structural encoder rejects are analyzed uncached.  Every
+    call returns a fresh list.
+    """
+    try:
+        key = (encode_body(body), tuple(sorted((sizes or {}).items())), default_size)
+    except UnsupportedIR:
+        return _trace_dependences(body, sizes, default_size)
+    with _LOCK:
+        deps = _MEMO.get(key)
+    if deps is None:
+        deps = tuple(_trace_dependences(body, sizes, default_size))
+        with _LOCK:
+            if len(_MEMO) >= _MAX_ENTRIES:
+                _MEMO.clear()
+            _MEMO[key] = deps
+    return list(deps)
+
+
+def _trace_dependences(
+    body: Sequence[Node],
+    sizes: Optional[Mapping[str, int]],
+    default_size: int,
+) -> List[Dependence]:
     stmts = _collect_statements(body)
     stmt_ids = {id(s): idx for idx, s in enumerate(stmts)}
     free: Set[str] = set()
@@ -341,16 +391,24 @@ def interchange_legal(
     return True
 
 
+def carried_depths(
+    body: Sequence[Node], sizes: Optional[Mapping[str, int]] = None
+) -> Set[int]:
+    """Depths (outermost = 0) of the loops that carry some dependence."""
+    return {
+        depth
+        for dep in analyze_dependences(body, sizes)
+        for depth, symbol in enumerate(dep.direction)
+        if symbol != "="
+    }
+
+
 def carries_dependence(
     body: Sequence[Node], depth: int, sizes: Optional[Mapping[str, int]] = None
 ) -> bool:
     """Whether the loop at ``depth`` carries any dependence (blocks
     parallelisation of that loop)."""
-    deps = analyze_dependences(body, sizes)
-    for dep in deps:
-        if len(dep.direction) > depth and dep.direction[depth] != "=":
-            return True
-    return False
+    return depth in carried_depths(body, sizes)
 
 
 def fusion_legal(

@@ -35,10 +35,9 @@ requested order.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..ir.affine import AffineExpr, MaxExpr, MinExpr
 from ..ir.ast import (
@@ -62,6 +61,7 @@ from ..ir.ast import (
     ScalarRef,
 )
 from ..ir.dependence import carries_dependence
+from ..ir.fingerprint import UnsupportedIR, computation_fingerprint
 
 __all__ = [
     "UnsupportedIR",
@@ -69,95 +69,6 @@ __all__ = [
     "computation_fingerprint",
     "lower_computation",
 ]
-
-
-class UnsupportedIR(TypeError):
-    """An IR shape outside the compilable subset (triggers fallback)."""
-
-
-# ---------------------------------------------------------------------------
-# Structural fingerprint (the registry's cache key)
-# ---------------------------------------------------------------------------
-
-
-def _enc_bound(bound) -> Tuple:
-    if isinstance(bound, AffineExpr):
-        return ("aff", bound.offset, tuple(sorted(bound.terms.items())))
-    if isinstance(bound, (MinExpr, MaxExpr)):
-        kind = "min" if isinstance(bound, MinExpr) else "max"
-        # Operand order does not affect min/max semantics (matches the
-        # set-based __eq__ of _MinMaxExpr), so sort for stability.
-        return (kind, tuple(sorted(_enc_bound(o) for o in bound.operands)))
-    raise UnsupportedIR(f"cannot fingerprint bound {bound!r}")
-
-
-def _enc_expr(expr: Expr) -> Tuple:
-    if isinstance(expr, Const):
-        return ("const", expr.value)
-    if isinstance(expr, ScalarRef):
-        return ("scalar", expr.name)
-    if isinstance(expr, ArrayRef):
-        return ("ref", expr.array, tuple(_enc_bound(i) for i in expr.indices))
-    if isinstance(expr, BinOp):
-        return ("bin", expr.op, _enc_expr(expr.left), _enc_expr(expr.right))
-    if isinstance(expr, Neg):
-        return ("neg", _enc_expr(expr.operand))
-    if isinstance(expr, Recip):
-        return ("recip", _enc_expr(expr.operand))
-    raise UnsupportedIR(f"cannot fingerprint expression {expr!r}")
-
-
-def _enc_pred(pred: Predicate) -> Tuple:
-    if isinstance(pred, Cmp):
-        return ("cmp", pred.op, _enc_bound(pred.lhs), _enc_bound(pred.rhs))
-    if isinstance(pred, And):
-        return ("and", tuple(_enc_pred(p) for p in pred.operands))
-    if isinstance(pred, Flag):
-        return ("flag", pred.name)
-    raise UnsupportedIR(f"cannot fingerprint predicate {pred!r}")
-
-
-def _enc_node(node: Node) -> Tuple:
-    if isinstance(node, Assign):
-        return ("assign", node.op, _enc_expr(node.target), _enc_expr(node.expr))
-    if isinstance(node, Loop):
-        # Labels are deliberately excluded: they come from a global
-        # counter, so two translations of the same script would otherwise
-        # never share a compiled kernel.
-        return (
-            "loop",
-            node.var,
-            _enc_bound(node.lower),
-            _enc_bound(node.upper),
-            node.step,
-            node.mapped_to,
-            tuple(_enc_node(child) for child in node.body),
-        )
-    if isinstance(node, Guard):
-        return (
-            "guard",
-            _enc_pred(node.cond),
-            tuple(_enc_node(child) for child in node.body),
-            tuple(_enc_node(child) for child in node.else_body),
-        )
-    if isinstance(node, Barrier):
-        return ("barrier",)
-    raise UnsupportedIR(f"cannot fingerprint node {node!r}")
-
-
-def computation_fingerprint(comp: Computation) -> str:
-    """Structural digest of everything that affects compiled execution.
-
-    Only stage bodies matter: array shapes, dtypes and runtime scalars /
-    flags are resolved when the compiled kernel is *called*, not when it
-    is built, so structurally identical computations (e.g. two
-    translations of the same EPOD script, or ``comp.clone()`` with fresh
-    loop labels) share one cache entry.
-    """
-    payload = tuple(
-        tuple(_enc_node(node) for node in stage.body) for stage in comp.stages
-    )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:32]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..ir import dependence
 from ..ir.ast import Computation
 from ..ir.interpret import allocate_arrays, run_stages
 from .lower import LoweredKernel, UnsupportedIR, computation_fingerprint, lower_computation
@@ -65,8 +66,12 @@ def is_disabled() -> bool:
 
 
 def clear_cache() -> None:
+    """Drop every compiled kernel and every memoized dependence set (the
+    dependence memo feeds vectorization legality, so a cold reset of the
+    one is a cold reset of both)."""
     with _LOCK:
         _CACHE.clear()
+    dependence.clear_cache()
 
 
 def cache_info() -> Dict[str, int]:

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence
 
 from ..ir.affine import var
 from ..ir.ast import Assign, Computation, Guard, Loop, Node, fresh_label
-from ..ir.dependence import carries_dependence
+from ..ir.dependence import carried_depths
 from ..ir.visitors import find_loop_path
 from .base import LOC_ANY, POOL_POLYHEDRAL, Transform, TransformError, TransformResult
 from .util import default_params, make_phase, require
@@ -120,8 +120,9 @@ class ThreadGrouping(Transform):
             "Lj must start at 0",
         )
 
-        i_parallel = not carries_dependence(stage.body, batch_depth)
-        j_parallel = not carries_dependence(stage.body, batch_depth + 1)
+        carried = carried_depths(stage.body)
+        i_parallel = batch_depth not in carried
+        j_parallel = batch_depth + 1 not in carried
         require(
             i_parallel or j_parallel,
             "thread_grouping needs at least one parallel loop",

@@ -410,7 +410,7 @@ class VariantSearch:
             "search",
             routine=routine_name,
             candidates=len(candidates),
-            configs=len(self.space),
+            configs=len(base_space),
             units=n_units,
             jobs=jobs,
             topk=budget if ranked is not None else None,

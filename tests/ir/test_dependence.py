@@ -1,5 +1,6 @@
 """Tests for the PolyDeps-like dependence analysis."""
 
+import pytest
 
 from repro.ir import (
     ArrayRef,
@@ -211,3 +212,161 @@ class TestBanerjee:
         a = ArrayRef("A", [var("i")])
         b = ArrayRef("A", [var("z") + 1000])
         assert banerjee_test(a, b, {"i": (0, 4)})  # z unbounded: cannot rule out
+
+
+# ---------------------------------------------------------------------------
+# The structural memo in front of the exhaustive trace
+# ---------------------------------------------------------------------------
+
+
+def _memo_body(upper="M", step=1, var_name="j", cmp_op="<", op="+="):
+    """``for i: for j: if (j < i) C[i][j] += A[i][j] * 2`` with knobs for
+    every structural field the memo key must see."""
+    from repro.ir import Assign, BinOp, Cmp, Const, Guard, Loop
+
+    j = var(var_name)
+    stmt = Assign(
+        ArrayRef("C", [var("i"), j]),
+        BinOp("*", ArrayRef("A", [var("i"), j]), Const(2.0)),
+        op,
+    )
+    guard = Guard(Cmp(j, cmp_op, var("i")), [stmt])
+    inner = Loop(var_name, 0, "N", [guard], step=step)
+    return [Loop("i", 0, upper, [inner])]
+
+
+def _relabel(nodes):
+    from repro.ir import Guard, Loop, fresh_label
+
+    for node in nodes:
+        if isinstance(node, Loop):
+            node.label = fresh_label("R")
+            _relabel(node.body)
+        elif isinstance(node, Guard):
+            _relabel(node.body)
+            _relabel(node.else_body)
+    return nodes
+
+
+class _OddPredicate:
+    """A guard predicate outside the structural encoder's subset."""
+
+
+class TestMemo:
+    @pytest.fixture
+    def traces(self, monkeypatch):
+        """Count the exhaustive traces behind a cold memo."""
+        from repro.ir import dependence
+
+        dependence.clear_cache()
+        calls = []
+        original = dependence._trace_dependences
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dependence, "_trace_dependences", counting)
+        yield calls
+        dependence.clear_cache()
+
+    def test_relabelled_clone_hits(self, traces):
+        body = _memo_body()
+        first = analyze_dependences(body, {"M": 4, "N": 4})
+        clone = _relabel([node.clone() for node in body])
+        assert clone[0].label != body[0].label
+        assert analyze_dependences(clone, {"N": 4, "M": 4}) == first
+        assert len(traces) == 1
+
+    @pytest.mark.parametrize(
+        "variant, sizes, default_size",
+        [
+            (dict(upper="N"), {"M": 4, "N": 4}, 6),
+            (dict(step=2), {"M": 4, "N": 4}, 6),
+            (dict(var_name="jj"), {"M": 4, "N": 4}, 6),
+            (dict(cmp_op="<="), {"M": 4, "N": 4}, 6),
+            (dict(op="="), {"M": 4, "N": 4}, 6),
+            ({}, {"M": 5, "N": 4}, 6),
+            ({}, {"M": 4, "N": 4}, 5),
+        ],
+        ids=["bound", "step", "loop-var", "guard", "assign-op", "sizes", "default-size"],
+    )
+    def test_structural_change_misses(self, traces, variant, sizes, default_size):
+        analyze_dependences(_memo_body(), {"M": 4, "N": 4}, 6)
+        analyze_dependences(_memo_body(**variant), sizes, default_size)
+        assert len(traces) == 2
+
+    def test_results_independent(self, traces):
+        body = _memo_body()
+        first = analyze_dependences(body)
+        expected = list(first)
+        first.clear()
+        second = analyze_dependences(body)
+        third = analyze_dependences(body)
+        assert second == expected and second is not third
+        second.append("junk")
+        assert analyze_dependences(body) == expected
+        assert len(traces) == 1
+
+    def test_unsupported_node_uncached(self, traces):
+        from repro.ir import Guard, dependence
+        from repro.ir.fingerprint import UnsupportedIR, encode_body
+
+        body = _memo_body()
+        body[0].body[0].body = [Guard(_OddPredicate(), body[0].body[0].body[0].body)]
+        with pytest.raises(UnsupportedIR):
+            encode_body(body)
+        first = analyze_dependences(body)
+        assert analyze_dependences(body) == first
+        assert len(traces) == 2
+        assert len(dependence._MEMO) == 0
+
+    def test_concurrent_callers_agree(self, traces):
+        import sys
+        import threading
+
+        from repro.ir import dependence
+
+        body = _memo_body()
+        expected = dependence._trace_dependences(body, None, 6)
+        start = threading.Barrier(8)
+        results = []
+
+        def worker():
+            start.wait(timeout=30)
+            for _ in range(25):
+                results.append(analyze_dependences(_relabel([n.clone() for n in body])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 200
+        assert all(r == expected for r in results)
+        assert len(dependence._MEMO) == 1
+
+    def test_memo_is_bounded(self, traces, monkeypatch):
+        from repro.ir import dependence
+
+        monkeypatch.setattr(dependence, "_MAX_ENTRIES", 2)
+        for size in (3, 4, 5):
+            analyze_dependences(_memo_body(), {"M": size, "N": 4})
+            assert len(dependence._MEMO) <= 2
+
+    def test_jit_clear_cache_empties_memo(self, traces):
+        from repro import jit
+        from repro.ir import dependence
+
+        analyze_dependences(_memo_body())
+        assert len(dependence._MEMO) == 1
+        jit.clear_cache()
+        assert len(dependence._MEMO) == 0
+        analyze_dependences(_memo_body())
+        assert len(traces) == 2

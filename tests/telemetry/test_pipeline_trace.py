@@ -45,6 +45,22 @@ class TestColdTrace:
         assert t.count("search.units") == search.tags["units"]
         assert search.tags["best_gflops"] > 0
 
+    def test_batched_search_span_counts_the_expanded_space(self, tmp_path):
+        # BGEMM crosses the base space with the BP batch strips, so the
+        # span must tag the expanded space or units != candidates x configs.
+        from repro.tuner.search import VariantSearch
+
+        telemetry = Telemetry()
+        gen = LibraryGenerator(
+            GTX_285,
+            options=TuningOptions(space=SMALL_SPACE, cache_dir=tmp_path, jobs=1),
+            telemetry=telemetry,
+        )
+        gen.generate("BGEMM-NN")
+        (search,) = telemetry.find("search")
+        assert search.tags["configs"] == len(SMALL_SPACE) * len(VariantSearch.BATCH_STRIPS)
+        assert search.tags["units"] == search.tags["candidates"] * search.tags["configs"]
+
     def test_happy_path_has_zero_pool_fallbacks(self, tmp_path):
         t = generate_with_trace(tmp_path, jobs=2)
         assert t.count("search.pool_fallbacks") == 0
