@@ -448,23 +448,17 @@ class LibraryGenerator:
         document (top-k sweeps are partial and are not stored)."""
         if self.disk_cache is None or not result.complete or not result.scores:
             return
-        records = []
-        for score in result.scores:
-            occ = 0.0
-            if score.run is not None and score.run.timing.kernels:
-                occ = min(
-                    k.occupancy.occupancy for k in score.run.timing.kernels
-                )
-            records.append(
-                {
-                    "config": dict(score.config),
-                    "gflops": round(score.gflops, 4),
-                    "ok": bool(score.ok),
-                    "error": score.error,
-                    "occupancy": round(occ, 4),
-                    "provenance": score.script.provenance,
-                }
-            )
+        records = [
+            {
+                "config": dict(score.config),
+                "gflops": round(score.gflops, 4),
+                "ok": bool(score.ok),
+                "error": score.error,
+                "occupancy": round(score.occupancy, 4),
+                "provenance": score.script.provenance,
+            }
+            for score in result.scores
+        ]
         self.disk_cache.store_scores(
             self._scores_cache_key(key),
             key,

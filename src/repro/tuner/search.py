@@ -36,12 +36,12 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..composer.generator import ComposedScript
 from ..epod.translator import EpodTranslator
 from ..gpu.arch import GPUArch
-from ..gpu.simulator import RunResult, SimulatedGPU
+from ..gpu.simulator import SimulatedGPU
 from ..gpu.timing import ChainTiming, DistTiming, estimate_chain_time
 from ..ir.ast import Computation
 from ..telemetry import Metrics, Telemetry, ensure_telemetry
@@ -83,18 +83,57 @@ CURATED_SPACE: List[Config] = [
 
 @dataclass
 class CandidateScore:
+    """The scalar outcome of one (script, config) unit.
+
+    Scores keep no kernel: the search drops the translated IR once it
+    has profiled it.  :attr:`comp` rebuilds the kernel on first access
+    by re-translating ``script`` at ``config`` against the search's
+    shared ``source`` and caches it on the score, so only the kernels a
+    caller actually touches (the verified winner, its fallback) stay
+    alive.
+    """
+
     script: ComposedScript
     config: Config
     gflops: float
-    run: Optional[RunResult] = None
-    comp: Optional[Computation] = None
+    error: str = ""
     #: effective (post-degeneration) component sequence of the translation
     applied_key: Tuple = ()
-    error: str = ""
+    #: minimum kernel occupancy of the profiled unit (0.0 when it failed)
+    occupancy: float = 0.0
+    #: the routine's untransformed computation, shared by every score of
+    #: one search (``None`` for scores that cannot rebuild a kernel)
+    source: Optional[Computation] = field(default=None, repr=False, compare=False)
+    _comp: Optional[Computation] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
         return not self.error and self.gflops > 0
+
+    @property
+    def comp(self) -> Optional[Computation]:
+        """The unit's kernel, rebuilt from ``script`` at ``config``.
+
+        The rebuild counts nothing (no ``metrics``), so telemetry totals
+        match a run that never asked.  A rebuild whose effective
+        component sequence differs from the recorded one means the
+        translator is not deterministic — that raises rather than hand
+        out a kernel the score does not describe.
+        """
+        if self._comp is None and self.ok and self.source is not None:
+            result = EpodTranslator(dict(self.config)).translate(
+                self.source, self.script.script, mode="filter"
+            )
+            if result.applied_key != self.applied_key:
+                raise RuntimeError(
+                    f"{self.source.name}: rebuilding config {self.config} "
+                    f"applied {result.applied_key}, but the search recorded "
+                    f"{self.applied_key}"
+                )
+            self._comp = result.comp
+        return self._comp
 
 
 def rank_key(score: CandidateScore) -> Tuple:
@@ -205,6 +244,13 @@ def _is_pool_failure(exc: BaseException) -> bool:
     return False
 
 
+#: What one evaluated unit leaves behind: ``(gflops, error, applied_key,
+#: occupancy)``, in :class:`CandidateScore` field order.  Scalars only —
+#: the kernel and its analytic models die with the evaluation, so nothing
+#: heavy crosses the pool boundary or outlives the search.
+Outcome = Tuple[float, str, Tuple, float]
+
+
 def _evaluate_unit(
     gpu: SimulatedGPU,
     source: Computation,
@@ -213,7 +259,7 @@ def _evaluate_unit(
     sizes: Dict[str, int],
     nominal: float,
     metrics: Optional[Metrics] = None,
-) -> CandidateScore:
+) -> Outcome:
     """Score one (script, config) pair — the search's unit of work.
 
     Module-level so both the sequential path and the pool workers run
@@ -228,23 +274,19 @@ def _evaluate_unit(
         result = translator.translate(source, candidate.script, mode="filter")
     except Exception as exc:
         metrics.incr("search.translate_errors")
-        return CandidateScore(candidate, config, 0.0, error=f"translate: {exc}")
+        return 0.0, f"translate: {exc}", (), 0.0
     try:
         run = gpu.profile(result.comp, sizes, nominal_flops=nominal)
     except Exception as exc:
         metrics.incr("search.profile_errors")
-        return CandidateScore(candidate, config, 0.0, error=f"profile: {exc}")
+        return 0.0, f"profile: {exc}", (), 0.0
     if not run.feasible:
         metrics.incr("search.infeasible")
-        return CandidateScore(candidate, config, 0.0, error="infeasible occupancy")
-    return CandidateScore(
-        candidate,
-        config,
-        run.gflops,
-        run=run,
-        comp=result.comp,
-        applied_key=result.applied_key,
+        return 0.0, "infeasible occupancy", (), 0.0
+    occupancy = min(
+        (k.occupancy.occupancy for k in run.timing.kernels), default=0.0
     )
+    return run.gflops, "", result.applied_key, occupancy
 
 
 #: Per-worker state, populated once by the pool initializer so each task
@@ -269,9 +311,12 @@ def _worker_init(
 
 
 def _worker_eval(unit: Tuple[int, int]):
+    """``(ci, ki, gflops, error, applied_key, occupancy, counters)`` of
+    one unit; the parent reattaches its own candidate/config objects by
+    index."""
     ci, ki = unit
     metrics = Metrics()
-    score = _evaluate_unit(
+    outcome = _evaluate_unit(
         _WORKER["gpu"],
         _WORKER["source"],
         _WORKER["candidates"][ci],
@@ -280,19 +325,7 @@ def _worker_eval(unit: Tuple[int, int]):
         _WORKER["nominal"],
         metrics=metrics,
     )
-    # The parent reattaches its own candidate/config objects by index, so
-    # only the evaluation outcome (plus this unit's counter snapshot)
-    # crosses the process boundary.
-    return (
-        ci,
-        ki,
-        score.gflops,
-        score.error,
-        score.applied_key,
-        score.run,
-        score.comp,
-        metrics.snapshot(),
-    )
+    return (ci, ki, *outcome, metrics.snapshot())
 
 
 class VariantSearch:
@@ -473,17 +506,41 @@ class VariantSearch:
     ) -> Tuple[List[CandidateScore], Optional[CandidateScore]]:
         """Score every (candidate, config) unit of ``space`` and reduce.
 
-        The reduction keeps the first-best in submission order, so the
-        winner is deterministic for a given evaluation order.
+        The sequential and the pool path both yield ``(ci, ki, *outcome)``
+        rows in submission order; scores are built here, once, from the
+        scalars alone.  The reduction keeps the first-best in submission
+        order, so the winner is deterministic for a given evaluation
+        order.
         """
         n_units = len(candidates) * len(space)
         if jobs > 1 and n_units > 1:
-            scored = self._search_parallel(
+            rows = self._search_parallel(
                 source, candidates, space, sizes, nominal, min(jobs, n_units)
             )
         else:
-            scored = (
-                _evaluate_unit(
+            rows = self._search_sequential(source, candidates, space, sizes, nominal)
+        scores: List[CandidateScore] = []
+        best: Optional[CandidateScore] = None
+        for ci, ki, *outcome in rows:
+            score = CandidateScore(candidates[ci], space[ki], *outcome, source=source)
+            if keep_all or score.ok:
+                scores.append(score)
+            if score.ok and (best is None or score.gflops > best.gflops):
+                best = score
+        return scores, best
+
+    def _search_sequential(
+        self,
+        source: Computation,
+        candidates: List[ComposedScript],
+        space: List[Config],
+        sizes: Dict[str, int],
+        nominal: float,
+    ) -> Iterator[Tuple]:
+        """Evaluate every unit in-process, streaming one row at a time."""
+        for ci, candidate in enumerate(candidates):
+            for ki, config in enumerate(space):
+                outcome = _evaluate_unit(
                     self.gpu,
                     source,
                     candidate,
@@ -492,17 +549,7 @@ class VariantSearch:
                     nominal,
                     metrics=self.telemetry.metrics,
                 )
-                for candidate in candidates
-                for config in space
-            )
-        scores: List[CandidateScore] = []
-        best: Optional[CandidateScore] = None
-        for score in scored:
-            if keep_all or score.ok:
-                scores.append(score)
-            if score.ok and (best is None or score.gflops > best.gflops):
-                best = score
-        return scores, best
+                yield (ci, ki, *outcome)
 
     def _search_parallel(
         self,
@@ -512,7 +559,7 @@ class VariantSearch:
         sizes: Dict[str, int],
         nominal: float,
         workers: int,
-    ) -> List[CandidateScore]:
+    ) -> Iterable[Tuple]:
         """Evaluate every (candidate, config) unit on a process pool.
 
         Results come back in submission order — the same nested
@@ -547,34 +594,12 @@ class VariantSearch:
             span = self.telemetry.tracer.current()
             if span is not None:
                 span.tags["pool_fallback"] = self.last_pool_error
-            return [
-                _evaluate_unit(
-                    self.gpu,
-                    source,
-                    candidate,
-                    config,
-                    sizes,
-                    nominal,
-                    metrics=self.telemetry.metrics,
-                )
-                for candidate in candidates
-                for config in space
-            ]
-        scores = []
-        for ci, ki, gflops, error, applied_key, run, comp, counters in raw:
+            return self._search_sequential(source, candidates, space, sizes, nominal)
+        rows = []
+        for *row, counters in raw:
             self.telemetry.merge_counters(counters)
-            scores.append(
-                CandidateScore(
-                    candidates[ci],
-                    space[ki],
-                    gflops,
-                    run=run,
-                    comp=comp,
-                    applied_key=applied_key,
-                    error=error,
-                )
-            )
-        return scores
+            rows.append(row)
+        return rows
 
     def _evaluate(
         self,
@@ -584,7 +609,8 @@ class VariantSearch:
         sizes: Dict[str, int],
         nominal: float,
     ) -> CandidateScore:
-        return _evaluate_unit(self.gpu, source, candidate, config, sizes, nominal)
+        outcome = _evaluate_unit(self.gpu, source, candidate, config, sizes, nominal)
+        return CandidateScore(candidate, config, *outcome, source=source)
 
     #: at most 2^8 fusion masks per chain — chains are short; edges past
     #: the cap stay unfused (counted as ``search.chain_edges_capped``)

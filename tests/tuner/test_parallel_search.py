@@ -56,6 +56,7 @@ class TestParallelDeterminism:
             assert a.gflops == b.gflops
             assert a.error == b.error
             assert a.applied_key == b.applied_key
+            assert a.occupancy == b.occupancy
 
     def test_search_level_jobs_override(self, gen):
         source = build_routine("GEMM-NN")
@@ -88,6 +89,43 @@ class TestParallelDeterminism:
         np.testing.assert_allclose(
             run.outputs["C"], want, rtol=3e-3, atol=3e-3
         )
+
+
+class TestWorkerPayload:
+    def test_worker_eval_returns_scalars_only(self, gen, monkeypatch):
+        from repro.blas3.routines import get_spec
+        from repro.gpu.simulator import RunResult
+        from repro.ir.ast import Computation
+        from repro.tuner import search
+
+        routine = "TRSM-LL-T"
+        spec = get_spec(routine)
+        sizes = spec.make_sizes(4096)
+        monkeypatch.setattr(search, "_WORKER", {})
+        search._worker_init(
+            GTX_285,
+            build_routine(routine),
+            gen.candidates(routine),
+            SMALL_SPACE,
+            sizes,
+            spec.nominal_flops(sizes),
+        )
+        row = search._worker_eval((0, 0))
+        ci, ki, gflops, error, applied_key, occupancy, counters = row
+        assert (ci, ki) == (0, 0)
+        assert gflops > 0 and not error and applied_key
+        assert 0.0 < occupancy <= 1.0
+        assert counters["search.units"] == 1
+
+        def walk(obj):
+            assert not isinstance(obj, (Computation, RunResult)), type(obj)
+            if isinstance(obj, dict):
+                obj = list(obj.keys()) + list(obj.values())
+            if isinstance(obj, (list, tuple)):
+                for item in obj:
+                    walk(item)
+
+        walk(row)
 
 
 class TestResolveJobs:
