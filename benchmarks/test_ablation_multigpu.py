@@ -1,13 +1,14 @@
 """Extension study: multi-GPU scaling (the paper's §VII future work).
 
-Column-split BLAS3 across 1/2/4 simulated GTX 285s: near-linear scaling
-at N=4096 while the PCIe broadcast of the shared operand caps small
-problems.
+Column-split BLAS3 across 1/2/4 simulated GTX 285s on one node
+(:class:`repro.dist.DistLibrary` over :func:`repro.dist.single_node`,
+1D panel split): near-linear scaling at N=4096 while the PCIe broadcast
+of the shared operand caps small problems.
 """
 
 import pytest
 
-from repro.multigpu import MultiGPULibrary
+from repro.dist import DistLibrary, single_node
 from repro.reporting import ascii_table, generator_for
 
 from .conftest import emit
@@ -18,15 +19,19 @@ ROUTINES = ("GEMM-NN", "SYMM-LL", "TRSM-LL-N")
 
 @pytest.fixture(scope="module")
 def scaling(gtx285):
-    lib = MultiGPULibrary(gtx285, 1, generator=generator_for(gtx285))
+    generator = generator_for(gtx285)
+    libs = {d: DistLibrary(gtx285, single_node(d), generator=generator) for d in DEVICES}
     return {
-        name: {n: lib.scaling(name, n, DEVICES) for n in (1024, 4096)}
+        name: {
+            n: {d: lib.gflops(name, n) for d, lib in libs.items()}
+            for n in (1024, 4096)
+        }
         for name in ROUTINES
     }
 
 
 def test_multigpu_report(scaling, gtx285, benchmark):
-    lib = MultiGPULibrary(gtx285, 2, generator=generator_for(gtx285))
+    lib = DistLibrary(gtx285, single_node(2), generator=generator_for(gtx285))
     benchmark(lib.gflops, "GEMM-NN", 4096)
     rows = []
     for name, by_n in scaling.items():

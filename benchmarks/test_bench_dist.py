@@ -8,7 +8,8 @@ PR 10's tentpole claims, recorded in ``BENCH_dist.json``:
   (:func:`repro.gpu.timing.estimate_dist_time`) undercuts the legacy
   serial charge (every transfer summed on top of the slowest panel).
   On the legacy single-node substrate the two accounts coincide — the
-  shim's numbers are unchanged, which the record also asserts.
+  single-node multi-GPU numbers are unchanged, which the record also
+  asserts.
 * **1D-vs-2D crossover** — on a 4-node × 4-device cluster the tuner's
   plan search (:meth:`repro.dist.executor.DistLibrary.generate`) keeps
   the 1D panel split at small N (fewer fabric messages: the per-message
@@ -94,7 +95,7 @@ def test_bench_dist():
         f"(saved {t.overlap_saved_s * 1e6:.1f}us)"
     )
     # multi-node channels overlap; the legacy single-node broadcast has
-    # one channel and reclaims nothing (shim numbers unchanged)
+    # one channel and reclaims nothing (single-node numbers unchanged)
     assert t.overlapped_s < t.serial_s
     assert ts.overlapped_s == ts.serial_s
 
@@ -107,11 +108,11 @@ def test_bench_dist():
         result = cluster.generate(ROUTINE, n)
         entry = {
             "n": n,
-            "plan": result.plan.describe(),
-            "kind": result.plan.kind,
+            "plan": result.winner.describe(),
+            "kind": result.winner.kind,
             "time_us": round(result.timing.time_s * 1e6, 3),
             "baseline_1d_us": round(result.baseline.time_s * 1e6, 3),
-            "speedup_over_1d": round(result.speedup_over_1d, 3),
+            "speedup_over_1d": round(result.baseline.time_s / result.timing.time_s, 3),
             "plans_evaluated": len(result.evaluated),
             "comm_us": round(result.timing.comm_s * 1e6, 3),
             "transfers": len(result.timing.transfer_s),

@@ -59,7 +59,6 @@ from .gpu import (
 from .gpu.timing import DistTiming
 from .ir import Array, Computation, build_computation, interpret, validate, var
 from .jit import compile_computation, execute as jit_execute
-from .multigpu import MultiGPULibrary, MultiGPUTiming
 from .oa import OAFramework
 from .serve import (
     BlasService,
@@ -109,8 +108,6 @@ __all__ = [
     "GeneratedLibrary",
     "LibraryGenerator",
     "Metrics",
-    "MultiGPULibrary",
-    "MultiGPUTiming",
     "OAFramework",
     "PLATFORMS",
     "PlanUnavailableError",

@@ -1,7 +1,7 @@
 """Distributed multi-node execution (the paper's §VII at cluster scale).
 
-``repro.multigpu`` took the paper's multi-GPU future-work step on one
-node; this package extends it to multi-node topologies with a modeled
+The paper's multi-GPU future-work step, on one node
+(:func:`~repro.dist.topology.single_node`) or many, with a modeled
 communication substrate:
 
 * :mod:`~repro.dist.topology` — a :class:`Topology` descriptor: nodes ×
@@ -20,11 +20,9 @@ communication substrate:
 
 The split strategy is a tuned decision per (arch, topology, N):
 :meth:`DistLibrary.generate` ranks every candidate plan through
-:meth:`repro.tuner.search.VariantSearch.search_dist` the way
-``search_chain`` ranks fusion masks — with the 1D split always a
-candidate, so choosing never loses to the single-node behaviour.
-:class:`repro.multigpu.MultiGPULibrary` remains as a thin shim over this
-package.
+:func:`repro.tuner.search.rank`, the ranker fusion masks share — with
+the 1D split as the baseline, so choosing never loses to the
+single-node behaviour.
 """
 
 from .comm import TransferOp, broadcast, get, put, schedule

@@ -10,12 +10,10 @@ topology's device ranks.
   channel but **overlap** with other channels and with compute on ranks
   whose inbound data already landed.
 * :meth:`DistLibrary.generate` ranks every candidate plan through
-  :meth:`repro.tuner.search.VariantSearch.search_dist` — the 1D panel
-  split is always in the field, so plan choice never loses to the legacy
-  single-node behaviour.
+  :func:`repro.tuner.search.rank` — the 1D panel split is the baseline,
+  so plan choice never loses to the single-node behaviour.
 * :meth:`DistLibrary.run` executes the chosen plan functionally, slicing
-  each operand on the axis its declared dims put the split on (the old
-  ``multigpu.run`` hardcoded axes and mis-sliced transposed operands).
+  each operand on the axis its declared dims put the split on.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from ..gpu.simulator import SimulatedGPU
 from ..gpu.timing import DistTiming, estimate_dist_time
 from ..telemetry import Telemetry, ensure_telemetry
 from ..tuner.library import LibraryGenerator, TunedRoutine
+from ..tuner.search import rank
 from .comm import TransferOp, broadcast, get, schedule
 from .plan import (
     DistPlan,
@@ -83,7 +82,7 @@ class DistLibrary:
             telemetry = generator.telemetry
         self.telemetry = ensure_telemetry(telemetry)
         self.generator = generator or LibraryGenerator(arch, telemetry=self.telemetry)
-        #: (routine, topology key, sizes key) → DistSearchResult
+        #: (routine, topology key, sizes key) → RankResult
         self._plan_memo: Dict[tuple, object] = {}
         #: (routine, sizes key) → modeled kernel seconds for one panel/tile
         self._profile_memo: Dict[tuple, float] = {}
@@ -255,11 +254,13 @@ class DistLibrary:
     ):
         """Search the distribution plans for ``name`` at one problem size.
 
-        Mirrors how ``search_chain`` ranks fusion masks: every candidate
-        is costed with :meth:`timing`, the 1D baseline is always in the
-        field, and ties go to it.  Results are memoised per (routine,
-        topology, sizes).  Returns a
-        :class:`repro.tuner.search.DistSearchResult`.
+        Every candidate of :func:`~repro.dist.plan.enumerate_plans` is
+        costed with :meth:`timing` and ranked by
+        :func:`repro.tuner.search.rank`, the ranker fusion masks share:
+        the 1D split comes first, so it is the baseline and wins ties.
+        Results are memoised per (routine, topology, sizes).  Returns a
+        :class:`repro.tuner.search.RankResult` whose ``winner`` is the
+        chosen :class:`~repro.dist.plan.DistPlan`.
         """
         spec = get_spec(name)
         if sizes is None:
@@ -276,13 +277,14 @@ class DistLibrary:
             topology=str(self.topology),
             devices=self.topology.total_devices,
         ):
-            plans = enumerate_plans(spec, self.topology)
-            result = self.generator.searcher.search_dist(
-                plans, lambda p: self.timing(name, sizes=sizes, plan=p)
+            result = rank(
+                enumerate_plans(spec, self.topology),
+                lambda p: self.timing(name, sizes=sizes, plan=p),
             )
+            self.telemetry.incr("search.dist_plans", len(result.evaluated))
             self.telemetry.incr(
                 "dist.plan_2d_selected"
-                if result.plan.kind == "2d"
+                if result.winner.kind == "2d"
                 else "dist.plan_1d_selected"
             )
         self._plan_memo[key] = result
@@ -294,6 +296,7 @@ class DistLibrary:
         name: str,
         *,
         plan: Optional[DistPlan] = None,
+        tuned: Optional[TunedRoutine] = None,
         alpha: float = 1.0,
         beta: float = 1.0,
         sizes: Optional[Mapping[str, int]] = None,
@@ -302,16 +305,20 @@ class DistLibrary:
         """Functional distributed execution of one call.
 
         With ``plan=None`` the tuner-chosen plan for the call's sizes is
-        used (searched and memoised on first need).  The unified calling
+        used (searched and memoised on first need).  Each panel or tile
+        runs ``tuned``, by default the generator's routine for ``name``;
+        a caller already holding a resolved routine (the serving tier's
+        plan) passes it so nothing is re-tuned.  The unified calling
         convention (keyword arrays, explicit ``alpha``/``beta``) is
-        shared with :meth:`TunedRoutine.run` and ``MultiGPULibrary.run``.
+        shared with :meth:`TunedRoutine.run`.
         """
         spec = get_spec(name)
-        tuned = self.routine(name)
+        if tuned is None:
+            tuned = self.routine(name)
         full = {k: np.asarray(v) for k, v in arrays.items()}
         logical = dict(sizes) if sizes is not None else infer_sizes(spec, full)
         if plan is None:
-            plan = self.generate(name, sizes=logical).plan
+            plan = self.generate(name, sizes=logical).winner
         with self.telemetry.span(
             "dist.run", routine=spec.name, plan=plan.describe(), devices=plan.devices
         ):

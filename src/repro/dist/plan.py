@@ -17,10 +17,8 @@ Two plan families, both reusing the single-GPU tuned routines per panel:
 
 The broadcast operands are *derived from the routine spec* — an operand
 is replicated exactly when its declared dims do not contain the split
-dimension.  (This replaces the dead conditional the old
-``multigpu._broadcast_array`` carried, whose branches both returned
-``"A"``; the derivation also gets batched variants right, where the
-replicated operand is ``B``.)
+dimension, which also gets batched variants right, where the
+replicated operand is ``B``.
 """
 
 from __future__ import annotations

@@ -120,10 +120,10 @@ def single_node(
 ) -> Topology:
     """One node of ``devices`` identical GPUs — the legacy substrate.
 
-    Defaults reproduce the original ``multigpu`` broadcast model exactly:
+    Defaults reproduce the original single-node broadcast model exactly:
     peer transfers stage through host PCIe (one host→device copy per
     extra device) at :data:`PCIE_BANDWIDTH_GBS` with zero per-message
-    latency, so the shim's numbers are bit-equal to the old account.
+    latency.
     """
     host = Link("pcie", pcie_gbs, 0.0)
     peer = Link("peer", peer_gbs if peer_gbs is not None else pcie_gbs, peer_latency_s)

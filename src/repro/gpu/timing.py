@@ -217,6 +217,12 @@ class ChainTiming:
     kernels: List[KernelTiming] = field(default_factory=list)
 
     @property
+    def time_s(self) -> float:
+        """The chain's cost as ranked: ``fused_s``, which is ``inf``
+        exactly when the merged launch is infeasible."""
+        return self.fused_s
+
+    @property
     def speedup(self) -> float:
         return self.serial_s / self.fused_s if self.fused_s > 0 else 0.0
 

@@ -62,8 +62,8 @@ from ..baselines.cublas import cublas_kernel
 from ..blas3.reference import reference
 from ..blas3.routines import get_spec, infer_sizes
 from ..dag import Dag, Expr
+from ..dist import DistLibrary, single_node
 from ..gpu.arch import GPUArch, GTX_285
-from ..multigpu import MultiGPULibrary
 from ..telemetry import Telemetry, ensure_telemetry
 from ..tuner.chain import build_chain_plan, node_sizes_from_canonical
 from ..tuner.library import LibraryGenerator, TunedRoutine
@@ -137,6 +137,10 @@ class ServeOptions:
     #: dispatch as one unit, but every node launches separately)
     fuse_dags: bool = False
 
+    def __post_init__(self):
+        if self.devices < 1:
+            raise ValueError(f"devices must be at least 1, got {self.devices}")
+
     @classmethod
     def from_args(cls, args) -> "ServeOptions":
         """One :class:`ServeOptions` from a parsed ``argparse`` namespace.
@@ -192,7 +196,7 @@ class BlasService:
         self.clock = clock
         self.table = DispatchTable(self.options.hot_plans, telemetry=self.telemetry)
         self._generators: Dict[int, LibraryGenerator] = {}
-        self._multigpu: Dict[int, MultiGPULibrary] = {}
+        self._dist: Dict[int, DistLibrary] = {}
         # Guards the generator/backend get-or-create maps, which are
         # probed from the dispatcher thread, flush() callers and warm()
         # callers concurrently.  A dedicated RLock (re-entrant because
@@ -596,20 +600,20 @@ class BlasService:
                 self._generators[bucket] = gen
         return gen
 
-    def _backend_for(self, bucket: int) -> Optional[MultiGPULibrary]:
+    def _backend_for(self, bucket: int) -> Optional[DistLibrary]:
         """The multi-device backend (None for the single-GPU path)."""
-        if self.options.devices <= 1:
+        if self.options.devices == 1:
             return None
         with self._gen_lock:
-            lib = self._multigpu.get(bucket)
+            lib = self._dist.get(bucket)
             if lib is None:
-                lib = MultiGPULibrary(
+                lib = DistLibrary(
                     self.arch,
-                    self.options.devices,
+                    single_node(self.options.devices),
                     generator=self._generator_for(bucket),
                     telemetry=self.telemetry,
                 )
-                self._multigpu[bucket] = lib
+                self._dist[bucket] = lib
         return lib
 
     def _resolve_plan(self, request: Request) -> Tuple[Optional[Plan], Optional[str]]:
@@ -922,7 +926,7 @@ class BlasService:
         self,
         request: Request,
         plan: Optional[Plan],
-        backend: Optional[MultiGPULibrary],
+        backend: Optional[DistLibrary],
         fallback_reason: Optional[str],
         batch_size: int,
         started: float,
@@ -966,7 +970,7 @@ class BlasService:
         self,
         request: Request,
         plan: Plan,
-        backend: Optional[MultiGPULibrary],
+        backend: Optional[DistLibrary],
     ) -> np.ndarray:
         if request.chained:
             output = plan.tuned.execute(request.dag, request.arrays)
@@ -975,8 +979,12 @@ class BlasService:
             )
             return np.asarray(output, dtype=np.float32)
         if backend is not None:
+            # the plan's own routine on the pinned 1D split: a predicted
+            # or rehydrated plan is served as resolved, never re-tuned
             return backend.run(
                 request.routine,
+                plan=backend.default_plan(request.routine),
+                tuned=plan.tuned,
                 alpha=request.alpha,
                 beta=request.beta,
                 sizes=request.sizes,

@@ -4,7 +4,7 @@ Every pipeline object (:class:`~repro.oa.OAFramework`,
 :class:`~repro.tuner.library.LibraryGenerator`,
 :class:`~repro.tuner.search.VariantSearch`,
 :class:`~repro.tuner.cache.TuningCache`,
-:class:`~repro.multigpu.MultiGPULibrary`) takes an optional
+:class:`~repro.dist.executor.DistLibrary`) takes an optional
 ``telemetry=`` argument.  ``None`` resolves to the shared
 :data:`NULL_TELEMETRY` sentinel whose spans are detached and whose
 counters discard writes, so instrumented call-sites never branch on

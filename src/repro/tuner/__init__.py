@@ -10,9 +10,10 @@ from .predictor import RankingModel, TrainingReport, score_docs, train_model
 from .search import (
     CURATED_SPACE,
     CandidateScore,
-    ChainSearchResult,
+    RankResult,
     SearchResult,
     VariantSearch,
+    rank,
     rank_key,
     resolve_jobs,
 )
@@ -22,13 +23,13 @@ __all__ = [
     "CURATED_SPACE",
     "CandidateScore",
     "ChainPlan",
-    "ChainSearchResult",
     "ChainSegment",
     "Config",
     "DEFAULT_SPACE",
     "FORMAT_VERSION",
     "GeneratedLibrary",
     "LibraryGenerator",
+    "RankResult",
     "RankingModel",
     "SearchResult",
     "TrainingReport",
@@ -44,6 +45,7 @@ __all__ = [
     "default_space",
     "prune_space",
     "node_sizes_from_canonical",
+    "rank",
     "rank_key",
     "resolve_jobs",
     "score_docs",

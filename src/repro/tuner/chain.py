@@ -13,11 +13,12 @@
    (``alpha == 1`` and, for C-accumulating families, ``beta == 0`` or no
    bound ``C``), a fused TRSM consumer must solve unscaled
    (``alpha == 1``), and the intermediate must have a single consumer,
-4. lets :meth:`~repro.tuner.search.VariantSearch.search_chain` cross
-   fuse/no-fuse per eligible edge, scored by the analytic chain-timing
+4. crosses fuse/no-fuse per eligible edge (at most
+   :data:`CHAIN_MASK_EDGES` of them) and ranks the masks with
+   :func:`repro.tuner.search.rank`, scored by the analytic chain-timing
    account (:func:`repro.gpu.timing.estimate_chain_time`) — the unfused
-   mask is always evaluated and wins ties, so the exact per-node
-   fallback is never worse than before this module existed,
+   mask is the baseline and wins ties, so the exact per-node fallback
+   is never worse than before this module existed,
 5. packages the winning mask as a :class:`ChainPlan`: unfused nodes
    execute through their tuned kernels exactly as a plain ``submit``
    would, fused segments execute their stitched-and-fused nest through
@@ -26,12 +27,14 @@
 
 Counters: ``fusion.legal_edges`` / ``fusion.illegal_edges`` (dependence
 probe), ``fusion.fused`` / ``fusion.declined`` (the tuner's verdict on
-eligible edges).
+eligible edges), ``search.chain_masks`` / ``search.chain_edges_capped``
+(masks ranked / eligible edges left unfused past the cap).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,11 +43,12 @@ import numpy as np
 from ..blas3.routines import get_spec
 from ..composer.fuse import StitchedChain, fuse_chain, stitch_chain
 from ..gpu.simulator import SimulatedGPU
-from ..gpu.timing import ChainTiming
+from ..gpu.timing import ChainTiming, estimate_chain_time
 from ..ir.ast import Computation
 from ..jit import execute as jit_execute
 from ..telemetry import Telemetry, ensure_telemetry
 from .library import LibraryGenerator, TunedRoutine
+from .search import rank
 
 __all__ = [
     "ChainPlan",
@@ -256,6 +260,11 @@ def _edge_eligible(dag, edge, legal: bool) -> Tuple[bool, str]:
     return True, ""
 
 
+#: at most 2^8 fusion masks per chain — chains are short; edges past
+#: the cap stay unfused (counted as ``search.chain_edges_capped``)
+CHAIN_MASK_EDGES = 8
+
+
 def build_chain_plan(
     dag,
     generator: LibraryGenerator,
@@ -315,8 +324,34 @@ def build_chain_plan(
             gpu.profile(plan.comp, sizes).models
             for plan, sizes in zip(node_plans, node_sizes)
         ]
-        result = generator.searcher.search_chain(launches, edges, eligible)
-        mask, timing, unfused_timing = result.mask, result.timing, result.unfused
+        # Every node pair of the chain gets a link; pairs the stitcher
+        # left unjoined carry nothing and never fuse.
+        position = {edge.producer: e for e, edge in enumerate(edges)}
+        pairs = [position.get(p) for p in range(len(dag.nodes) - 1)]
+        links = [
+            (edges[e].producer_output, edges[e].consumer_operand)
+            if e is not None
+            else ("", "")
+            for e in pairs
+        ]
+        free = [e for e, ok in enumerate(eligible) if ok]
+        if len(free) > CHAIN_MASK_EDGES:
+            telemetry.incr("search.chain_edges_capped", len(free) - CHAIN_MASK_EDGES)
+            free = free[:CHAIN_MASK_EDGES]
+
+        def masks():
+            # all-False first: the exact unfused plan is rank()'s baseline
+            for bits in itertools.product((False, True), repeat=len(free)):
+                on = dict(zip(free, bits))
+                yield tuple(on.get(e, False) for e in range(len(edges)))
+
+        def cost(candidate):
+            full = tuple(candidate[e] if e is not None else False for e in pairs)
+            return estimate_chain_time(generator.arch, launches, links, full)
+
+        result = rank(masks(), cost)
+        telemetry.incr("search.chain_masks", len(result.evaluated))
+        mask, timing, unfused_timing = result.winner, result.timing, result.baseline
         telemetry.incr("fusion.fused", sum(mask))
         telemetry.incr(
             "fusion.declined",

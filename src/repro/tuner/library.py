@@ -113,7 +113,7 @@ class TunedRoutine:
         """Execute the routine functionally on the simulated GPU.
 
         The unified calling convention (shared with
-        :meth:`GeneratedLibrary.run`, :meth:`MultiGPULibrary.run` and
+        :meth:`GeneratedLibrary.run`, :meth:`DistLibrary.run` and
         :meth:`BlasService.submit`): arrays are keyword arguments, with
         explicit ``alpha``/``beta``::
 

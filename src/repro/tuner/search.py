@@ -30,19 +30,17 @@ predicted pick fails.  Counters: ``predictor.rank``,
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..composer.generator import ComposedScript
 from ..epod.translator import EpodTranslator
 from ..gpu.arch import GPUArch
 from ..gpu.simulator import SimulatedGPU
-from ..gpu.timing import ChainTiming, DistTiming, estimate_chain_time
 from ..ir.ast import Computation
 from ..telemetry import Metrics, Telemetry, ensure_telemetry
 from .options import TuningOptions, resolve_options
@@ -51,10 +49,10 @@ from .space import Config, DEFAULT_SPACE, prune_space
 __all__ = [
     "SearchResult",
     "CandidateScore",
-    "ChainSearchResult",
-    "DistSearchResult",
+    "RankResult",
     "VariantSearch",
     "CURATED_SPACE",
+    "rank",
     "rank_key",
     "resolve_jobs",
 ]
@@ -171,47 +169,35 @@ class SearchResult:
 
 
 @dataclass
-class ChainSearchResult:
-    """The fusion-mask sweep of one DAG chain (see :meth:`search_chain`).
+class RankResult:
+    """The outcome of :func:`rank`: the ``winner`` candidate, its
+    ``timing``, the ``baseline`` (first candidate's) timing and every
+    ``(candidate, timing)`` pair costed, in order."""
 
-    ``mask`` is the winning fuse/no-fuse verdict per stitched edge,
-    ``timing`` its chain-timing account, ``unfused`` the exact
-    no-fusion baseline (always evaluated, wins ties)."""
-
-    mask: Tuple[bool, ...]
-    timing: ChainTiming
-    unfused: ChainTiming
-    evaluated: List[Tuple[Tuple[bool, ...], ChainTiming]] = field(
-        default_factory=list
-    )
-
-    @property
-    def fused(self) -> bool:
-        return any(self.mask)
+    winner: object
+    timing: object
+    baseline: object
+    evaluated: List[Tuple[object, object]] = field(default_factory=list)
 
 
-@dataclass
-class DistSearchResult:
-    """The distribution-plan sweep of one routine (see :meth:`search_dist`).
+def rank(candidates: Iterable, cost: Callable) -> RankResult:
+    """Cost every candidate and keep the fastest by ``cost(c).time_s``.
 
-    ``plan`` is the winning :class:`repro.dist.plan.DistPlan`, ``timing``
-    its event-timeline account, ``baseline`` the 1D panel split's account
-    (always evaluated, wins ties)."""
-
-    plan: object
-    timing: DistTiming
-    baseline: DistTiming
-    evaluated: List[Tuple[object, DistTiming]] = field(default_factory=list)
-
-    @property
-    def is_2d(self) -> bool:
-        return getattr(self.plan, "kind", "1d") == "2d"
-
-    @property
-    def speedup_over_1d(self) -> float:
-        if self.timing.time_s <= 0:
-            return 0.0
-        return self.baseline.time_s / self.timing.time_s
+    The first candidate is the baseline — the all-unfused chain mask,
+    the 1D panel split — and a later one replaces the current winner
+    only when *strictly* faster: fusing or distributing differently is
+    an optimisation, never a semantic change, so ties keep the plan that
+    needs no new execution path.  An infeasible candidate costs ``inf``
+    and so never wins.  Chain-mask and distribution-plan choices both
+    go through here (:func:`repro.tuner.chain.build_chain_plan`,
+    :meth:`repro.dist.executor.DistLibrary.generate`).
+    """
+    evaluated = [(candidate, cost(candidate)) for candidate in candidates]
+    if not evaluated:
+        raise ValueError("rank needs at least one candidate: the baseline")
+    # min() keeps the first of equal minima, so ties go to the baseline
+    winner, timing = min(evaluated, key=lambda pair: pair[1].time_s)
+    return RankResult(winner, timing, evaluated[0][1], evaluated)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -611,102 +597,3 @@ class VariantSearch:
     ) -> CandidateScore:
         outcome = _evaluate_unit(self.gpu, source, candidate, config, sizes, nominal)
         return CandidateScore(candidate, config, *outcome, source=source)
-
-    #: at most 2^8 fusion masks per chain — chains are short; edges past
-    #: the cap stay unfused (counted as ``search.chain_edges_capped``)
-    CHAIN_MASK_EDGES = 8
-
-    def search_chain(
-        self,
-        launches: Sequence[Sequence],
-        edges: Sequence,
-        eligible: Sequence[bool],
-    ) -> ChainSearchResult:
-        """Cross fuse/no-fuse per eligible chain edge, scored analytically.
-
-        ``launches[i]`` carries node *i*'s kernel models (from
-        :meth:`repro.gpu.simulator.SimulatedGPU.profile`), ``edges`` the
-        stitched chain's :class:`~repro.composer.fuse.ChainEdge` list and
-        ``eligible`` which of them may fuse.  Every mask over the
-        eligible edges is scored with
-        :func:`~repro.gpu.timing.estimate_chain_time`; the all-False
-        mask is the exact unfused fallback and wins whenever no fused
-        mask is feasible *and strictly faster* — fusing is an
-        optimisation, never a semantic change, so ties keep the plan
-        that needs no stitched execution path.
-        """
-        n = len(launches)
-        position = {edge.producer: e for e, edge in enumerate(edges)}
-        links = []
-        for p in range(n - 1):
-            e = position.get(p)
-            links.append(
-                (edges[e].producer_output, edges[e].consumer_operand)
-                if e is not None
-                else ("", "")
-            )
-        free = [e for e, ok in enumerate(eligible) if ok]
-        if len(free) > self.CHAIN_MASK_EDGES:
-            self.telemetry.incr(
-                "search.chain_edges_capped", len(free) - self.CHAIN_MASK_EDGES
-            )
-            free = free[: self.CHAIN_MASK_EDGES]
-
-        evaluated: List[Tuple[Tuple[bool, ...], ChainTiming]] = []
-        unfused: Optional[ChainTiming] = None
-        best: Optional[Tuple[Tuple[bool, ...], ChainTiming]] = None
-        for bits in itertools.product((False, True), repeat=len(free)):
-            mask = [False] * len(edges)
-            for e, bit in zip(free, bits):
-                mask[e] = bit
-            mask = tuple(mask)
-            full = tuple(
-                mask[position[p]] if p in position else False
-                for p in range(n - 1)
-            )
-            timing = estimate_chain_time(self.arch, launches, links, full)
-            evaluated.append((mask, timing))
-            if not any(mask):
-                unfused = timing
-            if timing.feasible and (best is None or timing.fused_s < best[1].fused_s):
-                best = (mask, timing)
-        assert unfused is not None  # the all-False mask is always swept
-        self.telemetry.incr("search.chain_masks", len(evaluated))
-        if best is None or (any(best[0]) and best[1].fused_s >= unfused.fused_s):
-            best = (tuple([False] * len(edges)), unfused)
-        return ChainSearchResult(
-            mask=best[0], timing=best[1], unfused=unfused, evaluated=evaluated
-        )
-
-    def search_dist(self, plans: Sequence, timer) -> DistSearchResult:
-        """Rank distribution plans the way :meth:`search_chain` ranks masks.
-
-        ``plans`` are :class:`repro.dist.plan.DistPlan` candidates (the
-        1D panel split must be among them — it is the exact legacy
-        fallback), ``timer(plan)`` returns the plan's
-        :class:`~repro.gpu.timing.DistTiming`.  Every plan is costed;
-        a 2D grid wins only when *strictly faster* than the 1D baseline
-        — distributing differently is an optimisation, never a semantic
-        change, so ties keep the plan with the legacy data layout.
-        """
-        evaluated: List[Tuple[object, DistTiming]] = []
-        baseline: Optional[Tuple[object, DistTiming]] = None
-        best: Optional[Tuple[object, DistTiming]] = None
-        for plan in plans:
-            timing = timer(plan)
-            evaluated.append((plan, timing))
-            if baseline is None and getattr(plan, "kind", "1d") == "1d":
-                baseline = (plan, timing)
-            if best is None or timing.time_s < best[1].time_s:
-                best = (plan, timing)
-        if baseline is None:
-            raise ValueError("search_dist needs the 1D baseline among the plans")
-        self.telemetry.incr("search.dist_plans", len(evaluated))
-        if getattr(best[0], "kind", "1d") != "1d" and best[1].time_s >= baseline[1].time_s:
-            best = baseline
-        return DistSearchResult(
-            plan=best[0],
-            timing=best[1],
-            baseline=baseline[1],
-            evaluated=evaluated,
-        )

@@ -31,7 +31,7 @@ class TestBroadcastOperands:
     @pytest.mark.parametrize("name", [v.name for v in ALL_VARIANTS])
     def test_derived_operand_lacks_the_split_dim(self, name):
         # Regression for the dead conditional in the old
-        # multigpu._broadcast_array, whose branches both returned "A":
+        # multi-GPU _broadcast_array, whose branches both returned "A":
         # the replicated set is now *derived* — operands whose declared
         # dims do not carry the split dimension.
         spec = get_spec(name)

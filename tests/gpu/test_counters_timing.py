@@ -1,5 +1,8 @@
 """Tests for the coalescing/counter model and the analytic timing model."""
 
+import math
+from dataclasses import replace
+
 import pytest
 
 from repro.blas3 import BASE_GEMM_SCRIPT, build_routine, get_spec
@@ -17,6 +20,7 @@ from repro.gpu import (
     estimate_time,
     transactions_per_group,
 )
+from repro.gpu.timing import estimate_chain_time
 
 CFG = {"BM": 64, "BN": 16, "KT": 16, "TX": 64, "TY": 1}
 
@@ -124,6 +128,19 @@ class TestTiming:
         models[-1].smem_bytes = 10**6
         timing = estimate_time(GEFORCE_9800, models)
         assert not timing.feasible
+
+    def test_chain_time_is_inf_exactly_when_infeasible(self):
+        # The ranker compares ChainTiming.time_s alone, so an infeasible
+        # merged launch must cost inf and a feasible one must not.
+        models = analyze_computation(tuned_gemm(), {"M": 256, "N": 256, "K": 256})
+        heavy = [
+            replace(m, smem_bytes=10 * 1024) if m.role == "compute" else m
+            for m in models
+        ]
+        apart = estimate_chain_time(GTX_285, [heavy, heavy], [("C", "A")], (False,))
+        assert apart.feasible and math.isfinite(apart.time_s)
+        merged = estimate_chain_time(GTX_285, [heavy, heavy], [("C", "A")], (True,))
+        assert not merged.feasible and merged.time_s == math.inf
 
     def test_platform_ordering_for_gemm(self):
         comp = tuned_gemm()

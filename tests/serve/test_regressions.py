@@ -22,6 +22,13 @@ And the PR 8 batch (same discipline — each fails pre-fix):
   (dispatcher vs ``flush()``/``warm()`` callers double-constructing);
 * background-promoted plans parked until a hit of the *predicted*
   resident — leaked forever if that plan was LRU-evicted first.
+
+And two multi-device bugs (each fails pre-fix):
+
+* the multi-device backend re-tuning the routine instead of running
+  the resolved plan's (a predicted plan ran a full search on the
+  dispatcher thread and was then bypassed);
+* ``devices`` below 1 silently served as one GPU.
 """
 
 import sys
@@ -31,7 +38,7 @@ import numpy as np
 import pytest
 
 from repro.blas3 import random_inputs, reference
-from repro.serve import DispatchTable, Plan, as_completed
+from repro.serve import DispatchTable, Plan, ServeOptions, as_completed
 from repro.serve.request import PendingResult, Request, Response
 from repro.telemetry import Telemetry
 
@@ -276,6 +283,64 @@ class TestMultiDeviceSizes:
         np.testing.assert_allclose(
             got1, reference("GEMM-NN", inputs), rtol=3e-3, atol=3e-3
         )
+
+
+class TestMultiDeviceServesResolvedPlan:
+    """The multi-device backend executed ``generator.generate(name)``,
+    ignoring ``plan.tuned``: a predicted plan triggered a full search on
+    the dispatcher thread and was then served by the fresh winner."""
+
+    def test_predicted_plan_runs_on_each_panel(self, tmp_path):
+        service = make_predicted_service(
+            model_dir(tmp_path), background_promotion=False, devices=2
+        )
+        inputs = random_inputs("GEMM-NN", GEMM_SIZES, seed=37)
+        pending = service.submit("GEMM-NN", deadline_s=30.0, alpha=1.5, **inputs)
+        service.flush()
+        response = pending.result()
+        assert response.source == "tuned"
+        assert service.telemetry.count("serve.predicted_plans") == 1
+        # Pre-fix: one search span, run on the dispatcher thread.
+        assert service.telemetry.find("search") == []
+        assert service.telemetry.count("serve.tuned") == 0
+        (plan,) = service.table._plans.values()
+        assert plan.predicted
+        # the predicted routine on each column panel of the 1D split
+        half = GEMM_SIZES["N"] // 2
+        panels = [
+            plan.tuned._execute(
+                {
+                    "A": inputs["A"],
+                    "B": np.ascontiguousarray(inputs["B"][:, lo:lo + half]),
+                    "C": np.ascontiguousarray(inputs["C"][:, lo:lo + half]),
+                },
+                sizes={**GEMM_SIZES, "N": half},
+                alpha=1.5,
+                beta=1.0,
+            )
+            for lo in (0, half)
+        ]
+        assert np.array_equal(response.output, np.concatenate(panels, axis=1))
+
+
+class TestDeviceCountValidated:
+    """``devices`` below 1 was served as one GPU instead of rejected."""
+
+    @pytest.mark.parametrize("devices", [0, -2])
+    def test_direct_construction_rejects(self, devices):
+        with pytest.raises(ValueError, match=str(devices)):
+            ServeOptions(devices=devices)
+
+    @pytest.mark.parametrize("devices", [0, -2])
+    def test_from_args_rejects(self, devices):
+        import argparse
+
+        with pytest.raises(ValueError, match=str(devices)):
+            ServeOptions.from_args(argparse.Namespace(devices=devices))
+
+    def test_one_device_and_more_accepted(self):
+        assert ServeOptions(devices=1).devices == 1
+        assert ServeOptions(devices=4).devices == 4
 
 
 class TestAsCompletedDrain:

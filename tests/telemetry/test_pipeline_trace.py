@@ -111,16 +111,16 @@ class TestWarmVsCold:
 
 class TestMultiGPUTrace:
     def test_timing_span_and_counters(self, tmp_path):
-        from repro.multigpu import MultiGPULibrary
+        from repro.dist import DistLibrary, single_node
 
         telemetry = Telemetry()
         gen = LibraryGenerator(
             GTX_285, options=TuningOptions(space=SMALL_SPACE), telemetry=telemetry
         )
-        lib = MultiGPULibrary(GTX_285, 2, generator=gen)
+        lib = DistLibrary(GTX_285, single_node(2), generator=gen)
         assert lib.telemetry is telemetry  # inherited from the generator
         lib.timing("GEMM-NN", 513)
-        (span,) = telemetry.find("multigpu.timing")
+        (span,) = telemetry.find("dist.timing")
         assert span.tags["devices"] == 2
-        assert telemetry.count("multigpu.timings") == 1
-        assert telemetry.count("multigpu.uneven_splits") == 1
+        assert telemetry.count("dist.timings") == 1
+        assert telemetry.count("dist.uneven_splits") == 1

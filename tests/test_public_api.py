@@ -44,8 +44,7 @@ class TestAllConsistency:
             assert getattr(repro, name) is not None
 
     def test_serving_surface_is_public(self):
-        for name in ("BlasService", "ServeOptions", "TuningOptions",
-                     "MultiGPULibrary", "MultiGPUTiming"):
+        for name in ("BlasService", "DistLibrary", "ServeOptions", "TuningOptions"):
             assert name in repro.__all__
 
 
