@@ -41,6 +41,12 @@ class TranslationResult:
     omitted: List[Tuple[Invocation, str]] = field(default_factory=list)
     env: Dict[str, str] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    #: Label-free identity of the kernel: each applied invocation's
+    #: component and resolved arguments, where a label returned by an
+    #: earlier applied step is renamed ``(applied index, output
+    #: position)``.  Two translations of one source under one set of
+    #: params with equal keys built the same kernel up to loop labels.
+    kernel_key: Tuple = ()
 
     @property
     def applied_key(self) -> Tuple:
@@ -48,18 +54,45 @@ class TranslationResult:
         return tuple(inv.key() for inv in self.applied)
 
 
+@dataclass(frozen=True)
+class _Step:
+    """What one invocation did: its resolved ``args`` and the computation
+    after it, plus the failure reason when it was omitted, or the labels
+    and notes it produced when it was applied."""
+
+    inv: Invocation
+    args: Tuple[str, ...]
+    comp: Computation
+    failure: Optional[str] = None
+    labels: Tuple[str, ...] = ()
+    notes: Tuple[str, ...] = ()
+
+
 class EpodTranslator:
     """Applies EPOD scripts to computations.
 
+    A translator remembers the path of the last script it translated:
+    the computation after each of its invocations.  A later call on the
+    same source object, with the same params and mode, resumes from the
+    longest common invocation prefix instead of re-applying it.  That is
+    sound because no transform mutates its input, and it is invisible:
+    results equal a fresh translator's up to the names of synthesised
+    loop labels.  Results of one translator may share their computations
+    with each other, so callers must treat ``result.comp`` as read-only.
+
     ``metrics`` (a :class:`repro.telemetry.Metrics`) counts each
     component omitted in ``filter`` mode as
-    ``translate.components_omitted`` — inside a search worker that is
-    the worker-local registry shipped back with the unit's result.
+    ``translate.components_omitted`` — once per translation that omits
+    it, resumed or not.  Inside a search worker that is the
+    worker-local registry shipped back with the config's results.
     """
 
     def __init__(self, params: Optional[Dict[str, int]] = None, metrics=None):
         self.params = dict(params or {})
         self.metrics = metrics
+        self._origin: Optional[Tuple] = None
+        self._root: Optional[Computation] = None
+        self._path: List[_Step] = []
 
     def translate(
         self,
@@ -70,40 +103,62 @@ class EpodTranslator:
     ) -> TranslationResult:
         if mode not in ("strict", "filter"):
             raise ValueError(f"unknown mode {mode!r}")
-        result = TranslationResult(comp=comp.clone())
+        origin = (comp, dict(self.params), mode)
+        if self._origin is None or self._origin[0] is not comp or self._origin[1:] != origin[1:]:
+            self._origin, self._root, self._path = origin, comp.clone(), []
+        invocations = list(script)
+        del self._path[len(invocations):]
+        result = TranslationResult(comp=self._root)
         env: Dict[str, str] = result.env
-        for inv in script:
-            transform = get_transform(inv.component)
-            args = tuple(env.get(a, a) for a in inv.args)
-            try:
-                out = transform.apply(result.comp, args, self.params)
-            except TransformFailure as failure:
-                if mode == "strict":
-                    raise
-                result.omitted.append((inv, str(failure)))
+        fresh: Dict[str, Tuple[int, int]] = {}
+        kernel_key = []
+        for index, inv in enumerate(invocations):
+            if index < len(self._path) and self._path[index].inv != inv:
+                del self._path[index:]
+            if index == len(self._path):
+                self._path.append(self._apply(result.comp, inv, env, mode))
+            step = self._path[index]
+            if step.failure is not None:
+                result.omitted.append((inv, step.failure))
                 if self.metrics is not None:
                     self.metrics.incr("translate.components_omitted")
                 # Outputs of an omitted component alias its inputs when the
                 # arity matches (the loops were not restructured), so later
                 # invocations can still resolve them.
-                if inv.outputs and len(inv.outputs) == len(args):
-                    for name, value in zip(inv.outputs, args):
-                        env[name] = value
+                if inv.outputs and len(inv.outputs) == len(step.args):
+                    env.update(zip(inv.outputs, step.args))
                 continue
+            kernel_key.append((inv.component, tuple(fresh.get(a, a) for a in step.args)))
+            for position, label in enumerate(step.labels):
+                fresh[label] = (len(result.applied), position)
             if inv.outputs:
-                if len(out.labels) != len(inv.outputs):
-                    raise ScriptError(
-                        f"{inv.component} returned {len(out.labels)} labels, "
-                        f"script binds {len(inv.outputs)}"
-                    )
-                for name, label in zip(inv.outputs, out.labels):
-                    env[name] = label
-            result.comp = out.comp
+                env.update(zip(inv.outputs, step.labels))
+            result.comp = step.comp
             result.applied.append(inv)
-            result.notes.extend(f"{inv.component}: {n}" for n in out.notes)
+            result.notes.extend(f"{inv.component}: {n}" for n in step.notes)
+        result.kernel_key = tuple(kernel_key)
         if validate_result:
             validate(result.comp)
         return result
+
+    def _apply(
+        self, comp: Computation, inv: Invocation, env: Dict[str, str], mode: str
+    ) -> _Step:
+        """Apply one invocation to ``comp`` (never mutated)."""
+        transform = get_transform(inv.component)
+        args = tuple(env.get(a, a) for a in inv.args)
+        try:
+            out = transform.apply(comp, args, self.params)
+        except TransformFailure as failure:
+            if mode == "strict":
+                raise
+            return _Step(inv, args, comp, failure=str(failure))
+        if inv.outputs and len(out.labels) != len(inv.outputs):
+            raise ScriptError(
+                f"{inv.component} returned {len(out.labels)} labels, "
+                f"script binds {len(inv.outputs)}"
+            )
+        return _Step(inv, args, out.comp, labels=tuple(out.labels), notes=tuple(out.notes))
 
 
 def translate(

@@ -139,16 +139,17 @@ class TunedRoutine:
         (padded) variants dispatch to their fallback when the blank area
         is not zero — the multi-versioned code of §IV-A.3.
         """
+        if sizes is None:
+            sizes = self._infer_sizes(inputs)
+        divisible = self._tile_divisible(sizes)
+        inputs = self._logical_inputs(inputs, sizes)
         if self.conditions and not self.check_blank_zero(inputs):
             if self.fallback is None:
                 raise RuntimeError(
                     f"{self.name}: blank area not zero and no fallback variant"
                 )
             return self.fallback._execute(inputs, sizes=sizes, alpha=alpha, beta=beta)
-
-        if sizes is None:
-            sizes = self._infer_sizes(inputs)
-        if not self._tile_divisible(sizes):
+        if not divisible:
             # Full-tile kernels (DESIGN.md): pad up to the next tile
             # multiple, run, and slice the result back.  Zero padding is
             # exact for the multiply families; solves pad the triangular
@@ -168,14 +169,6 @@ class TunedRoutine:
             kernel_inputs.get("C", 0.0), dtype=np.float32
         )
         out_shape = tuple(d.evaluate(sizes) for d in self._array("C").dims)
-        if (
-            c_in.ndim == len(out_shape)
-            and c_in.shape != out_shape
-            and all(have >= want for want, have in zip(out_shape, c_in.shape))
-        ):
-            # Oversized storage around a smaller logical problem: only
-            # the logical region participates in the beta accumulation.
-            c_in = c_in[tuple(slice(0, s) for s in out_shape)]
         kernel_inputs["C"] = np.zeros(out_shape, np.float32)
         run = gpu.run(self.comp, sizes, kernel_inputs)
         return alpha * run.outputs[out_name] + beta * c_in
@@ -204,9 +197,36 @@ class TunedRoutine:
             out[sym] = -(-sizes[sym] // tile) * tile
         return out
 
-    def _run_padded(self, inputs, sizes, alpha: float, beta: float) -> np.ndarray:
-        padded_sizes = self._padded_sizes(sizes)
+    def _logical_inputs(
+        self, inputs: Mapping[str, np.ndarray], sizes: Mapping[str, int]
+    ) -> Dict[str, np.ndarray]:
+        """Each routine array of ``inputs`` cut to its logical extent.
+
+        Callers may hand buffers *larger* than the problem named by
+        explicit ``sizes`` (the BLAS leading-dimension convention):
+        anything beyond the logical extent is storage, not data.  Smaller
+        is not storage, it is an inconsistent call.
+        """
         env = dict(sizes)
+        out = dict(inputs)
+        for arr in self.spec.arrays:
+            if arr.name not in inputs:
+                continue
+            data = np.asarray(inputs[arr.name])
+            logical = tuple(d.evaluate(env) for d in arr.dims)
+            if data.ndim != len(logical) or data.shape == logical:
+                continue
+            if any(have < want for want, have in zip(logical, data.shape)):
+                raise ValueError(
+                    f"{self.name}: array {arr.name} has shape {data.shape}, "
+                    f"smaller than its logical extent {logical}"
+                )
+            out[arr.name] = data[tuple(slice(0, want) for want in logical)]
+        return out
+
+    def _run_padded(self, inputs, sizes, alpha: float, beta: float) -> np.ndarray:
+        """Run logically-sized ``inputs`` at the next tile multiple."""
+        padded_sizes = self._padded_sizes(sizes)
         penv = dict(padded_sizes)
         padded_inputs = {}
         for arr in self.spec.arrays:
@@ -215,28 +235,16 @@ class TunedRoutine:
             data = np.asarray(inputs[arr.name], dtype=np.float32)
             shape = tuple(d.evaluate(penv) for d in arr.dims)
             buf = np.zeros(shape, np.float32)
-            # Copy only the logical region: callers may hand buffers
-            # *larger* than the problem named by explicit ``sizes`` (the
-            # BLAS leading-dimension convention) — anything beyond the
-            # logical extent is storage, not data.  Smaller is not
-            # storage, it is an inconsistent call.
-            logical = tuple(d.evaluate(env) for d in arr.dims)
-            if any(have < want for want, have in zip(logical, data.shape)):
-                raise ValueError(
-                    f"{self.name}: array {arr.name} has shape {data.shape}, "
-                    f"smaller than its logical extent {logical}"
-                )
-            region = tuple(slice(0, want) for want in logical)
-            buf[region] = data[region]
+            region = tuple(slice(0, have) for have in data.shape)
+            buf[region] = data
             if self.spec.variant.family == "TRSM" and arr.triangular:
                 # Identity on the padded diagonal keeps the solve exact.
-                n0 = region[0].stop
-                for d in range(n0, shape[0]):
+                for d in range(data.shape[0], shape[0]):
                     buf[d, d] = 1.0
             padded_inputs[arr.name] = buf
         result = self._execute(padded_inputs, sizes=padded_sizes, alpha=alpha, beta=beta)
         out_shape = tuple(
-            d.evaluate(env) for d in self._array(self.spec.output).dims
+            d.evaluate(sizes) for d in self._array(self.spec.output).dims
         )
         return result[tuple(slice(0, s) for s in out_shape)]
 

@@ -11,14 +11,16 @@ scoring each with the analytic performance model at the tuning size
 (the paper's 4096).  A curated sub-space keeps the default search fast;
 ``full_space=True`` sweeps everything.
 
-The (script × config) cross product is embarrassingly parallel: every
-evaluation unit is independent, so the search fans out over a process
-pool (``jobs=`` workers, default ``os.cpu_count()``).  Workers rebuild
-their :class:`~repro.epod.translator.EpodTranslator` and
-:class:`~repro.gpu.simulator.SimulatedGPU` locally; the parent reduces
-the returned scores in the exact (candidate, config) submission order,
-so the winner is bit-identical to the sequential run.  ``jobs=1``
-preserves the single-threaded code path unchanged.
+Units are evaluated one config at a time (:func:`_evaluate_config`):
+one translator walks that config's candidates in script-key order, so
+each translation resumes from the previous script's shared prefix, and
+each distinct kernel is profiled once.  The configs fan out over a
+process pool (``jobs=`` workers, default ``os.cpu_count()``), one config
+per task; workers rebuild their :class:`~repro.gpu.simulator.SimulatedGPU`
+locally and run the same function as the sequential path.  The parent
+reduces the scores in candidate-major (candidate, config) order, so the
+winner is bit-identical to the sequential run.  Counter:
+``search.kernels_reused``.
 
 With a trained cost model (:mod:`repro.tuner.predictor`) and a ``topk``
 budget the search stops being exhaustive: the model ranks the pruned
@@ -35,7 +37,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..composer.generator import ComposedScript
 from ..epod.translator import EpodTranslator
@@ -237,46 +239,71 @@ def _is_pool_failure(exc: BaseException) -> bool:
 Outcome = Tuple[float, str, Tuple, float]
 
 
-def _evaluate_unit(
+def _profile(
+    gpu: SimulatedGPU, comp: Computation, sizes: Dict[str, int], nominal: float
+) -> Tuple[float, str, float, Optional[str]]:
+    """``(gflops, error, occupancy, counter)`` of one kernel, where
+    ``counter`` names the failure counter a unit with it bumps."""
+    try:
+        run = gpu.profile(comp, sizes, nominal_flops=nominal)
+    except Exception as exc:
+        return 0.0, f"profile: {exc}", 0.0, "search.profile_errors"
+    if not run.feasible:
+        return 0.0, "infeasible occupancy", 0.0, "search.infeasible"
+    occupancy = min(
+        (k.occupancy.occupancy for k in run.timing.kernels), default=0.0
+    )
+    return run.gflops, "", occupancy, None
+
+
+def _evaluate_config(
     gpu: SimulatedGPU,
     source: Computation,
-    candidate: ComposedScript,
+    candidates: Sequence[ComposedScript],
     config: Config,
     sizes: Dict[str, int],
     nominal: float,
     metrics: Optional[Metrics] = None,
-) -> Outcome:
-    """Score one (script, config) pair — the search's unit of work.
+) -> List[Outcome]:
+    """Score every candidate script at one config — the search's unit of
+    work, one :data:`Outcome` per candidate, in candidate order.
 
-    Module-level so both the sequential path and the pool workers run
-    the identical code.  ``metrics`` (a worker-local or the parent's
-    registry) counts units, translate/profile errors, infeasible
-    configs and omitted components.
+    One translator walks the candidates in script-key order, so each
+    translation resumes from the previous script's shared prefix, and
+    each distinct :attr:`~repro.epod.translator.TranslationResult.kernel_key`
+    is profiled once; a unit whose kernel was already profiled reuses
+    that outcome (``search.kernels_reused``).  Module-level so both the
+    sequential path and the pool workers run the identical code.
+    ``metrics`` (a worker-local or the parent's registry) counts units,
+    translate/profile errors, infeasible units and omitted components
+    exactly as if every unit had been translated and profiled alone.
     """
     metrics = metrics if metrics is not None else Metrics()
-    metrics.incr("search.units")
     translator = EpodTranslator(dict(config), metrics=metrics)
-    try:
-        result = translator.translate(source, candidate.script, mode="filter")
-    except Exception as exc:
-        metrics.incr("search.translate_errors")
-        return 0.0, f"translate: {exc}", (), 0.0
-    try:
-        run = gpu.profile(result.comp, sizes, nominal_flops=nominal)
-    except Exception as exc:
-        metrics.incr("search.profile_errors")
-        return 0.0, f"profile: {exc}", (), 0.0
-    if not run.feasible:
-        metrics.incr("search.infeasible")
-        return 0.0, "infeasible occupancy", (), 0.0
-    occupancy = min(
-        (k.occupancy.occupancy for k in run.timing.kernels), default=0.0
-    )
-    return run.gflops, "", result.applied_key, occupancy
+    profiled: Dict[Tuple, Tuple[float, str, float, Optional[str]]] = {}
+    outcomes: List[Outcome] = [None] * len(candidates)
+    order = sorted(range(len(candidates)), key=lambda ci: candidates[ci].script.key())
+    for ci in order:
+        metrics.incr("search.units")
+        try:
+            result = translator.translate(source, candidates[ci].script, mode="filter")
+        except Exception as exc:
+            metrics.incr("search.translate_errors")
+            outcomes[ci] = (0.0, f"translate: {exc}", (), 0.0)
+            continue
+        if result.kernel_key in profiled:
+            metrics.incr("search.kernels_reused")
+        else:
+            profiled[result.kernel_key] = _profile(gpu, result.comp, sizes, nominal)
+        gflops, error, occupancy, counter = profiled[result.kernel_key]
+        if counter is not None:
+            metrics.incr(counter)
+        outcomes[ci] = (gflops, error, () if error else result.applied_key, occupancy)
+    return outcomes
 
 
 #: Per-worker state, populated once by the pool initializer so each task
-#: ships only its (candidate, config) index pair.
+#: ships only its config index.
 _WORKER: Dict[str, object] = {}
 
 
@@ -296,22 +323,20 @@ def _worker_init(
     _WORKER["nominal"] = nominal
 
 
-def _worker_eval(unit: Tuple[int, int]):
-    """``(ci, ki, gflops, error, applied_key, occupancy, counters)`` of
-    one unit; the parent reattaches its own candidate/config objects by
-    index."""
-    ci, ki = unit
+def _worker_eval(ki: int):
+    """``(outcomes, counters)`` of one config; the parent reattaches its
+    own candidate/config objects by index."""
     metrics = Metrics()
-    outcome = _evaluate_unit(
+    outcomes = _evaluate_config(
         _WORKER["gpu"],
         _WORKER["source"],
-        _WORKER["candidates"][ci],
+        _WORKER["candidates"],
         _WORKER["space"][ki],
         _WORKER["sizes"],
         _WORKER["nominal"],
         metrics=metrics,
     )
-    return (ci, ki, *outcome, metrics.snapshot())
+    return outcomes, metrics.snapshot()
 
 
 class VariantSearch:
@@ -492,27 +517,27 @@ class VariantSearch:
     ) -> Tuple[List[CandidateScore], Optional[CandidateScore]]:
         """Score every (candidate, config) unit of ``space`` and reduce.
 
-        The sequential and the pool path both yield ``(ci, ki, *outcome)``
-        rows in submission order; scores are built here, once, from the
-        scalars alone.  The reduction keeps the first-best in submission
-        order, so the winner is deterministic for a given evaluation
-        order.
+        Both the sequential and the pool path evaluate one config at a
+        time and return each config's outcomes by candidate index; scores
+        are built here, once, from the scalars alone, in candidate-major
+        (candidate outer, config inner) order.  The reduction keeps the
+        first-best in that order, so the winner is deterministic.
         """
-        n_units = len(candidates) * len(space)
-        if jobs > 1 and n_units > 1:
-            rows = self._search_parallel(
-                source, candidates, space, sizes, nominal, min(jobs, n_units)
+        if jobs > 1 and len(space) > 1:
+            by_config = self._search_parallel(
+                source, candidates, space, sizes, nominal, min(jobs, len(space))
             )
         else:
-            rows = self._search_sequential(source, candidates, space, sizes, nominal)
+            by_config = self._search_sequential(source, candidates, space, sizes, nominal)
         scores: List[CandidateScore] = []
         best: Optional[CandidateScore] = None
-        for ci, ki, *outcome in rows:
-            score = CandidateScore(candidates[ci], space[ki], *outcome, source=source)
-            if keep_all or score.ok:
-                scores.append(score)
-            if score.ok and (best is None or score.gflops > best.gflops):
-                best = score
+        for ci, candidate in enumerate(candidates):
+            for ki, config in enumerate(space):
+                score = CandidateScore(candidate, config, *by_config[ki][ci], source=source)
+                if keep_all or score.ok:
+                    scores.append(score)
+                if score.ok and (best is None or score.gflops > best.gflops):
+                    best = score
         return scores, best
 
     def _search_sequential(
@@ -522,20 +547,15 @@ class VariantSearch:
         space: List[Config],
         sizes: Dict[str, int],
         nominal: float,
-    ) -> Iterator[Tuple]:
-        """Evaluate every unit in-process, streaming one row at a time."""
-        for ci, candidate in enumerate(candidates):
-            for ki, config in enumerate(space):
-                outcome = _evaluate_unit(
-                    self.gpu,
-                    source,
-                    candidate,
-                    config,
-                    sizes,
-                    nominal,
-                    metrics=self.telemetry.metrics,
-                )
-                yield (ci, ki, *outcome)
+    ) -> List[List[Outcome]]:
+        """Evaluate every config in-process."""
+        return [
+            _evaluate_config(
+                self.gpu, source, candidates, config, sizes, nominal,
+                metrics=self.telemetry.metrics,
+            )
+            for config in space
+        ]
 
     def _search_parallel(
         self,
@@ -545,12 +565,12 @@ class VariantSearch:
         sizes: Dict[str, int],
         nominal: float,
         workers: int,
-    ) -> Iterable[Tuple]:
-        """Evaluate every (candidate, config) unit on a process pool.
+    ) -> List[List[Outcome]]:
+        """Evaluate the configs on a process pool, one config per task.
 
-        Results come back in submission order — the same nested
-        (candidate outer, config inner) order the sequential loop walks —
-        so the reduction in :meth:`search` picks an identical winner.
+        Results come back in submission (config) order, and each worker
+        runs the sequential path's :func:`_evaluate_config`, so the
+        reduction in :meth:`_evaluate_space` picks an identical winner.
         A genuine *pool* failure (a platform without working
         multiprocessing, unpicklable state, a killed worker) falls back
         to the sequential path; the cause is kept in
@@ -559,19 +579,13 @@ class VariantSearch:
         (``TypeError`` from bad arguments, assertion failures, ...)
         propagate — masking them behind a silent re-run hid real bugs.
         """
-        units = [
-            (ci, ki)
-            for ci in range(len(candidates))
-            for ki in range(len(space))
-        ]
-        chunksize = max(1, len(units) // (workers * 4))
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_worker_init,
                 initargs=(self.arch, source, candidates, space, sizes, nominal),
             ) as pool:
-                raw = list(pool.map(_worker_eval, units, chunksize=chunksize))
+                raw = list(pool.map(_worker_eval, range(len(space))))
         except Exception as exc:
             if not _is_pool_failure(exc):
                 raise
@@ -581,11 +595,11 @@ class VariantSearch:
             if span is not None:
                 span.tags["pool_fallback"] = self.last_pool_error
             return self._search_sequential(source, candidates, space, sizes, nominal)
-        rows = []
-        for *row, counters in raw:
+        by_config = []
+        for outcomes, counters in raw:
             self.telemetry.merge_counters(counters)
-            rows.append(row)
-        return rows
+            by_config.append(outcomes)
+        return by_config
 
     def _evaluate(
         self,
@@ -595,5 +609,5 @@ class VariantSearch:
         sizes: Dict[str, int],
         nominal: float,
     ) -> CandidateScore:
-        outcome = _evaluate_unit(self.gpu, source, candidate, config, sizes, nominal)
+        outcome = _evaluate_config(self.gpu, source, [candidate], config, sizes, nominal)[0]
         return CandidateScore(candidate, config, *outcome, source=source)

@@ -29,7 +29,7 @@ class TestCounters:
 
 class TestWorkerMerge:
     def test_merge_accumulates_worker_snapshots(self):
-        """The parent folds per-unit worker snapshots into its registry —
+        """The parent folds per-task worker snapshots into its registry —
         the cross-process path of the parallel search."""
         parent = Metrics()
         workers = []

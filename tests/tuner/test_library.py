@@ -164,3 +164,43 @@ class TestFullTileRegime:
         inputs = random_inputs("GEMM-NN", {"M": 16, "N": 16, "K": 8}, seed=8)
         with pytest.raises(ValueError, match="GEMM-NN.*K"):
             tuned.run(sizes={"M": 16, "N": 16}, **inputs)
+
+
+@pytest.fixture(scope="module")
+def tile16():
+    """Routines tuned at a 16×16×8 tile, so size 16 takes the exact-tile
+    path and size 24 the padded one."""
+    return LibraryGenerator(GTX_285, options=TuningOptions(space=SMALL_SPACE[:1]))
+
+
+class TestOversizedStorage:
+    """Buffers larger than the logical problem named by ``sizes`` (the BLAS
+    leading-dimension convention) are served on both execution paths.
+
+    Regression: the exact-tile path passed the whole buffers to the
+    kernel and raised "input 'A' has shape (32, 32), expected (16, 16)",
+    while off-tile sizes took the padded path and were served.
+    """
+
+    @pytest.mark.parametrize("routine", ["GEMM-NN", "TRSM-LL-N"])
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_logical_region_matches_reference(self, tile16, routine, n):
+        tuned = tile16.generate(routine)
+        sizes = tuned.spec.make_sizes(n)
+        assert tuned._tile_divisible(sizes) == (n == 16)
+        storage = random_inputs(routine, tuned.spec.make_sizes(32), seed=n)
+        logical = {
+            name: data[tuple(slice(0, d.evaluate(sizes)) for d in tuned._array(name).dims)]
+            for name, data in storage.items()
+        }
+        got = tuned.run(sizes=sizes, alpha=1.5, beta=0.5, **storage)
+        want = reference(routine, logical, alpha=1.5, beta=0.5)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=4e-3, atol=4e-3)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_storage_smaller_than_logical_extent_raises(self, tile16, n):
+        tuned = tile16.generate("GEMM-NN")
+        inputs = random_inputs("GEMM-NN", tuned.spec.make_sizes(8), seed=2)
+        with pytest.raises(ValueError, match="smaller than its logical extent"):
+            tuned.run(sizes=tuned.spec.make_sizes(n), **inputs)

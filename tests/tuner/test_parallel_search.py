@@ -1,7 +1,7 @@
 """Parallel search must be observably identical to the sequential search.
 
-The pool fans (candidate × config) units out to worker processes but the
-parent reduces results in submission order, so for every routine family
+The pool fans the configs out to worker processes, one config per task,
+but the parent reduces results in candidate-major order, so for every routine family
 ``jobs=2`` must pick the exact same winner — same script object, same
 config, bit-identical modeled GFLOPS — as ``jobs=1``.
 """
@@ -101,21 +101,23 @@ class TestWorkerPayload:
         routine = "TRSM-LL-T"
         spec = get_spec(routine)
         sizes = spec.make_sizes(4096)
+        candidates = gen.candidates(routine)
         monkeypatch.setattr(search, "_WORKER", {})
         search._worker_init(
             GTX_285,
             build_routine(routine),
-            gen.candidates(routine),
+            candidates,
             SMALL_SPACE,
             sizes,
             spec.nominal_flops(sizes),
         )
-        row = search._worker_eval((0, 0))
-        ci, ki, gflops, error, applied_key, occupancy, counters = row
-        assert (ci, ki) == (0, 0)
+        row = search._worker_eval(0)
+        outcomes, counters = row
+        assert len(outcomes) == len(candidates)
+        gflops, error, applied_key, occupancy = outcomes[0]
         assert gflops > 0 and not error and applied_key
         assert 0.0 < occupancy <= 1.0
-        assert counters["search.units"] == 1
+        assert counters["search.units"] == len(candidates)
 
         def walk(obj):
             assert not isinstance(obj, (Computation, RunResult)), type(obj)
@@ -138,3 +140,50 @@ class TestResolveJobs:
     def test_explicit(self):
         assert resolve_jobs(1) == 1
         assert resolve_jobs(7) == 7
+
+
+class TestKernelReuse:
+    """Each config profiles each distinct kernel once; the other units
+    reuse its outcome and count ``search.kernels_reused``."""
+
+    #: the routines the repo benchmark's ``library_generate`` builds
+    ROUTINES = ["GEMM-TN", "SYMM-RL", "TRMM-RL-T", "TRSM-LL-T"]
+
+    def test_units_minus_reused_is_distinct_kernels(self, gen):
+        from repro.epod import EpodTranslator
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        searcher = VariantSearch(GTX_285, options=TuningOptions(jobs=1), telemetry=telemetry)
+        distinct = 0
+        for routine in self.ROUTINES:
+            source = build_routine(routine)
+            candidates = gen.candidates(routine)
+            searcher.search(routine, source, candidates)
+            for config in searcher.space:
+                distinct += len({
+                    EpodTranslator(dict(config))
+                    .translate(source, c.script, mode="filter")
+                    .kernel_key
+                    for c in candidates
+                })
+        units = telemetry.count("search.units")
+        reused = telemetry.count("search.kernels_reused")
+        assert units - reused == distinct
+        assert (units, reused) == (1104, 320)
+
+    def test_pool_counters_match_sequential(self, gen):
+        from repro.telemetry import Telemetry
+
+        counts = []
+        for jobs in (1, 2):
+            telemetry = Telemetry()
+            VariantSearch(
+                GTX_285, options=TuningOptions(space=SMALL_SPACE, jobs=jobs), telemetry=telemetry
+            ).search("TRSM-LL-T", build_routine("TRSM-LL-T"), gen.candidates("TRSM-LL-T"))
+            counts.append({
+                name: telemetry.count(name)
+                for name in ("search.units", "search.kernels_reused", "translate.components_omitted")
+            })
+        assert counts[0] == counts[1]
+        assert counts[0]["search.kernels_reused"] > 0
