@@ -8,9 +8,15 @@ paper variants peaked at 184 MB RSS (``jobs=1``, GTX 285, curated space).
 
 This benchmark builds the full library in a fresh subprocess with
 ``jobs=2`` — the pool path, where workers ship back scalars only — and
-records the builder's peak RSS (``ru_maxrss`` of the subprocess itself,
-not of its pool workers) and its wall time in
-``BENCH_library_memory.json``.  It asserts the peak stays below 100 MB.
+records the builder's peak RSS (of the subprocess itself, not of its
+pool workers) and its wall time in ``BENCH_library_memory.json``.  It
+asserts the peak stays below 100 MB.
+
+The peak is ``VmHWM`` from ``/proc/self/status``, which ``exec`` resets.
+``ru_maxrss`` is only the fallback where ``/proc`` lacks it: Linux
+carries it across ``fork``/``exec``, so after other benchmarks in one
+pytest process it reports the pytest process's peak (121.8 MB against
+about 50 MB for the build alone).
 """
 
 import json
@@ -31,13 +37,27 @@ import json, resource, sys, time
 from repro.gpu import GTX_285
 from repro.tuner import LibraryGenerator, TuningOptions
 
+
+def peak_rss():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024, "VmHWM"
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "ru_maxrss"
+
+
 t0 = time.perf_counter()
 lib = LibraryGenerator(GTX_285, options=TuningOptions(jobs=int(sys.argv[1]))).library()
 wall_s = time.perf_counter() - t0
+peak_rss_mb, peak_rss_source = peak_rss()
 print(json.dumps({
     "routines": len(lib.routines),
     "wall_s": wall_s,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_rss_mb,
+    "peak_rss_source": peak_rss_source,
     "worker_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
 }))
 """
@@ -60,7 +80,8 @@ def test_bench_library_memory():
         "arch": "GTX 285",
         "space": "curated",
         "jobs": JOBS,
-        "clock": "ru_maxrss (KiB, Linux) of the build process; host wall-clock",
+        "clock": "VmHWM (ru_maxrss where /proc lacks it) of the build process; "
+        "host wall-clock",
         "peak_rss_limit_mb": PEAK_RSS_LIMIT_MB,
         **result,
     }

@@ -3,12 +3,17 @@
 The paper runs its generated kernels on three real GPUs; this repo has
 none, so :class:`SimulatedGPU` plays that role (see DESIGN.md §2):
 
-* **functional execution** interprets the transformed IR exactly as a
-  grid of blocks × threads would compute it (phases between barriers,
-  register files per thread) — used to assert correctness at small sizes;
-* **analytic profiling** (any size, e.g. the paper's N=4096) runs the
-  static kernel analysis and the coalescing/occupancy/roofline models to
-  produce execution time, GFLOPS and ``cuda_profile``-style counters.
+* **functional execution** (:meth:`~SimulatedGPU.execute`) interprets
+  the transformed IR exactly as a grid of blocks × threads would compute
+  it (phases between barriers, register files per thread) — used to
+  assert correctness at small sizes and to serve requests;
+* **analytic profiling** (:meth:`~SimulatedGPU.profile`; any size, e.g.
+  the paper's N=4096) runs the static kernel analysis and the
+  coalescing/occupancy/roofline models to produce execution time, GFLOPS
+  and ``cuda_profile``-style counters.
+
+:meth:`~SimulatedGPU.run` is the two together, for tuning, baselines
+and reports.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from ..codegen.analysis import KernelModel, analyze_computation
 from ..ir.ast import Computation
+from ..jit import LoweredKernel
 from ..jit import execute as jit_execute
 from .arch import GPUArch
 from .counters import ProfileCounters, count_profile
@@ -79,6 +85,33 @@ class SimulatedGPU:
             nominal_flops=nominal_flops,
         )
 
+    def execute(
+        self,
+        comp: Computation,
+        sizes: Mapping[str, int],
+        inputs: Mapping[str, np.ndarray],
+        scalars: Optional[Mapping[str, float]] = None,
+        flags: Optional[Mapping[str, bool]] = None,
+        kernel: Optional[LoweredKernel] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Functional execution only: the output buffers, no profile.
+
+        Execution goes through the compiled-kernel registry
+        (:func:`repro.jit.execute`) — bit-identical to the interpreter,
+        with the interpreter as automatic fallback.  A caller holding
+        ``comp``'s compiled ``kernel`` (the serving path) skips the
+        registry lookup.
+        """
+        return jit_execute(
+            comp,
+            sizes,
+            inputs,
+            scalars=scalars,
+            flags=flags,
+            telemetry=self.telemetry,
+            kernel=kernel,
+        )
+
     def run(
         self,
         comp: Computation,
@@ -88,15 +121,8 @@ class SimulatedGPU:
         flags: Optional[Mapping[str, bool]] = None,
         nominal_flops: float = 0.0,
     ) -> RunResult:
-        """Functional execution plus analytic profile.
-
-        Execution goes through the compiled-kernel registry
-        (:func:`repro.jit.execute`) — bit-identical to the interpreter,
-        with the interpreter as automatic fallback.
-        """
-        outputs = jit_execute(
-            comp, sizes, inputs, scalars=scalars, flags=flags, telemetry=self.telemetry
-        )
+        """:meth:`execute` plus :meth:`profile` (tuning, baselines, reports)."""
+        outputs = self.execute(comp, sizes, inputs, scalars=scalars, flags=flags)
         result = self.profile(comp, sizes, nominal_flops=nominal_flops)
         result.outputs = outputs
         return result

@@ -15,6 +15,7 @@ from .lower import (
     lower_computation,
 )
 from .registry import (
+    LazyKernel,
     cache_info,
     clear_cache,
     compile_computation,
@@ -24,6 +25,7 @@ from .registry import (
 )
 
 __all__ = [
+    "LazyKernel",
     "LoweredKernel",
     "UnsupportedIR",
     "cache_info",

@@ -35,6 +35,7 @@ def _ensure_telemetry(telemetry):
     return ensure_telemetry(telemetry)
 
 __all__ = [
+    "LazyKernel",
     "compile_computation",
     "execute",
     "disabled",
@@ -117,6 +118,32 @@ def compile_computation(
     return kernel
 
 
+_UNBOUND = object()
+
+
+class LazyKernel:
+    """A caller-held kernel for one computation, compiled on first use.
+
+    Serving plans hold one, so a hot call hands :func:`execute` its
+    kernel instead of paying the registry lookup and its fingerprint.
+    :meth:`get` is ``None`` under :func:`disabled` (without compiling)
+    and for uncompilable IR.  The computation must not change once its
+    kernel is bound.
+    """
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self):
+        self._kernel = _UNBOUND
+
+    def get(self, comp: Computation, telemetry=None) -> Optional[LoweredKernel]:
+        if is_disabled():
+            return None
+        if self._kernel is _UNBOUND:
+            self._kernel = compile_computation(comp, telemetry=telemetry)
+        return self._kernel
+
+
 def execute(
     comp: Computation,
     sizes: Mapping[str, int],
@@ -125,12 +152,18 @@ def execute(
     flags: Optional[Mapping[str, bool]] = None,
     thread_order: str = "asc",
     telemetry=None,
+    kernel: Optional[LoweredKernel] = None,
 ) -> Dict[str, np.ndarray]:
     """Run ``comp`` through the compiled kernel cache; interpret on fallback.
 
     Mirrors :func:`repro.ir.interpret.interpret` exactly: scalars default
     to 1.0, runtime flags overlay ``comp.flags``, inputs are copied into
     freshly allocated buffers, and the full buffer dict is returned.
+
+    ``kernel`` is a caller-held :func:`compile_computation` result for
+    ``comp``: it runs without the registry lookup (no fingerprint).  It
+    is ignored under :func:`disabled` and when it was compiled for the
+    other ``thread_order``.
     """
     telemetry = _ensure_telemetry(telemetry)
     scalars = dict(scalars or {})
@@ -141,8 +174,9 @@ def execute(
         merged_flags.update(flags)
     buffers = allocate_arrays(comp, sizes, inputs)
 
-    kernel = None
-    if not is_disabled():
+    if is_disabled():
+        kernel = None
+    elif kernel is None or kernel.thread_order != thread_order:
         kernel = compile_computation(comp, thread_order, telemetry)
     if kernel is not None:
         kernel.fn(buffers, sizes, scalars, merged_flags)

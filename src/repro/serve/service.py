@@ -26,10 +26,11 @@ cooperating mechanisms:
   (glossary in the README's Serving section).
 
 Launch execution flows through the compiled-kernel path: each tuned
-plan's :class:`~repro.tuner.library.TunedRoutine` carries the service
-telemetry into :class:`~repro.gpu.simulator.SimulatedGPU`, whose runs go
-through :func:`repro.jit.execute` — so serving traffic shows up in the
-``jit.*`` counters and pays interpreter cost only on fallback shapes.
+plan's :class:`~repro.tuner.library.TunedRoutine` binds its compiled
+kernel on first use and runs it through
+:meth:`~repro.gpu.simulator.SimulatedGPU.execute` with the service
+telemetry — no analytic profile and no IR fingerprint per request; only
+uncompilable IR pays the interpreter (``jit.fallback``).
 
 Two execution modes share the same dispatch path:
 

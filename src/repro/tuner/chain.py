@@ -45,6 +45,7 @@ from ..composer.fuse import StitchedChain, fuse_chain, stitch_chain
 from ..gpu.simulator import SimulatedGPU
 from ..gpu.timing import ChainTiming, estimate_chain_time
 from ..ir.ast import Computation
+from ..jit import LazyKernel
 from ..jit import execute as jit_execute
 from ..telemetry import Telemetry, ensure_telemetry
 from .library import LibraryGenerator, TunedRoutine
@@ -79,12 +80,15 @@ class ChainSegment:
     Singleton segments (``start == end``) run their node's tuned kernel;
     multi-node segments carry the stitched-and-fused naive nest
     (``comp``) plus its own :class:`StitchedChain` for the dimension
-    environment."""
+    environment, and bind ``comp``'s compiled kernel on first run."""
 
     start: int
     end: int
     comp: Optional[Computation] = None
     stitched: Optional[StitchedChain] = None
+    kernel: LazyKernel = field(
+        default_factory=LazyKernel, init=False, repr=False, compare=False
+    )
 
 
 class _SegmentView:
@@ -228,7 +232,13 @@ class ChainPlan:
         if final_spec.output == "C" and "C" in final.operands:
             c_in = np.asarray(values[final.operands["C"]], np.float32)
 
-        outputs = jit_execute(segment.comp, env, inputs, telemetry=self.telemetry)
+        outputs = jit_execute(
+            segment.comp,
+            env,
+            inputs,
+            telemetry=self.telemetry,
+            kernel=segment.kernel.get(segment.comp, self.telemetry),
+        )
 
         for pnode, rnode in zip(plan_nodes, req_nodes):
             raw = outputs[pnode.output]

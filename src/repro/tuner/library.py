@@ -5,8 +5,8 @@ For each routine: compose (base GEMM-NN script + the variant's adaptors)
 model) → verify the winner functionally (small sizes, both thread orders)
 → package as a :class:`TunedRoutine`.
 
-Generated routines execute on the simulated GPU (functional + profiled)
-and can emit their CUDA source.
+Generated routines execute their bound compiled kernel on the simulated
+GPU (profiled only on demand) and can emit their CUDA source.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from ..epod.translator import EpodTranslator
 from ..gpu.arch import GPUArch
 from ..gpu.simulator import RunResult, SimulatedGPU
 from ..ir.ast import Computation
+from ..jit import LazyKernel
 from ..telemetry import Telemetry, ensure_telemetry
 from .options import TuningOptions, resolve_options
 from .search import CandidateScore, SearchResult, VariantSearch, rank_key
@@ -60,6 +61,11 @@ class TunedRoutine:
     fallback: Optional["TunedRoutine"] = None
     #: runtime telemetry sink (not persisted; reattached on cache load)
     telemetry: Optional[Telemetry] = field(default=None, repr=False, compare=False)
+    #: ``comp``'s compiled kernel, bound on first execute (not persisted;
+    #: ``comp`` is read-only from then on)
+    kernel: LazyKernel = field(
+        default_factory=LazyKernel, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -156,13 +162,13 @@ class TunedRoutine:
             # matrix with an identity block.
             return self._run_padded(inputs, sizes, alpha=alpha, beta=beta)
         gpu = SimulatedGPU(self.arch, telemetry=self.telemetry)
+        kernel = self.kernel.get(self.comp, self.telemetry)
         kernel_inputs = dict(inputs)
         out_name = self.spec.output
         if self.spec.variant.family == "TRSM":
             # In-place solve of alpha-scaled RHS.
             kernel_inputs["B"] = np.asarray(inputs["B"], dtype=np.float32) * alpha
-            run = gpu.run(self.comp, sizes, kernel_inputs)
-            return run.outputs[out_name]
+            return gpu.execute(self.comp, sizes, kernel_inputs, kernel=kernel)[out_name]
         # C-accumulating families: kernel computes P = op(A) op(B) into a
         # zeroed C, then the host applies C := alpha*P + beta*C.
         c_in = np.asarray(
@@ -170,8 +176,8 @@ class TunedRoutine:
         )
         out_shape = tuple(d.evaluate(sizes) for d in self._array("C").dims)
         kernel_inputs["C"] = np.zeros(out_shape, np.float32)
-        run = gpu.run(self.comp, sizes, kernel_inputs)
-        return alpha * run.outputs[out_name] + beta * c_in
+        outputs = gpu.execute(self.comp, sizes, kernel_inputs, kernel=kernel)
+        return alpha * outputs[out_name] + beta * c_in
 
     def _tile_for(self, sym: str) -> int:
         if sym == "P":
