@@ -86,11 +86,8 @@ def _make_inputs(rng):
     return {"A": a, "B": b, "L": low}
 
 
-def _dispatch_time(timing, segments):
-    """Wall time of serving the chain: one overhead per launched
-    segment plus the modeled kernel time of the chosen execution."""
-    chosen = timing.fused_s if timing is not None else 0.0
-    return len(segments) * LAUNCH_OVERHEAD_S + chosen
+def _bytes_moved(timing):
+    return sum(k.bytes_moved for k in timing.kernels)
 
 
 def test_bench_fusion():
@@ -129,13 +126,17 @@ def test_bench_fusion():
             np.allclose(fused_out, reference, rtol=1e-3, atol=1e-3)
         )
 
-        timing = fused_plan.timing or fused_plan.unfused_timing
-        serial_dispatch_s = (
-            len(dag) * LAUNCH_OVERHEAD_S + timing.serial_s
-            if timing is not None
-            else None
+        # The chosen mask's launches against the all-unfused ones: back
+        # to back, every node pays one overhead and the intermediate
+        # round-trips through DRAM; the chosen plan pays one overhead
+        # per launched segment.
+        timing = fused_plan.timing
+        unfused = fused_plan.unfused_timing
+        saved_bytes = _bytes_moved(unfused) - _bytes_moved(timing)
+        serial_dispatch_s = len(dag) * LAUNCH_OVERHEAD_S + unfused.time_s
+        chosen_dispatch_s = (
+            len(fused_plan.segments) * LAUNCH_OVERHEAD_S + timing.time_s
         )
-        chosen_dispatch_s = _dispatch_time(timing, fused_plan.segments)
         entry = {
             "routines": [node.routine for node in dag.nodes],
             "legal": list(fused_plan.legal),
@@ -146,26 +147,19 @@ def test_bench_fusion():
             "bit_identical_to_unfused": exact,
             "matches_reference": faithful,
             "max_abs_err_vs_reference": max_err,
+            "modeled_serial_us": round(unfused.time_s * 1e6, 3),
+            "modeled_chosen_us": round(timing.time_s * 1e6, 3),
+            "saved_mb": round(saved_bytes / 2**20, 4),
+            "back_to_back_dispatch_us": round(serial_dispatch_s * 1e6, 3),
+            "chosen_dispatch_us": round(chosen_dispatch_s * 1e6, 3),
+            "dispatch_speedup": round(
+                serial_dispatch_s / chosen_dispatch_s, 3
+            ),
         }
-        if timing is not None:
-            entry.update(
-                {
-                    "modeled_serial_us": round(timing.serial_s * 1e6, 3),
-                    "modeled_chosen_us": round(timing.fused_s * 1e6, 3),
-                    "saved_mb": round(timing.saved_bytes / 2**20, 4),
-                    "back_to_back_dispatch_us": round(
-                        serial_dispatch_s * 1e6, 3
-                    ),
-                    "chosen_dispatch_us": round(chosen_dispatch_s * 1e6, 3),
-                    "dispatch_speedup": round(
-                        serial_dispatch_s / chosen_dispatch_s, 3
-                    ),
-                }
-            )
         record["families"][name] = entry
 
         decision = "fused" if fused_plan.fused else "declined"
-        speedup = entry.get("dispatch_speedup", 1.0)
+        speedup = entry["dispatch_speedup"]
         report_lines.append(
             f"{name:11s} {' -> '.join(entry['routines']):24s} "
             f"{decision:8s} speedup {speedup:5.2f}x  "

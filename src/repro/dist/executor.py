@@ -181,9 +181,8 @@ class DistLibrary:
 
         Per-rank kernel times come from the simulated GPU on each rank's
         panel/tile sizes; transfer events come from :meth:`transfers`.
-        The returned :class:`~repro.gpu.timing.DistTiming` carries both
-        the overlapped account (``time_s``) and the serial one
-        (``serial_s``) the old model charged.
+        The returned :class:`~repro.gpu.timing.DistTiming`'s ``time_s``
+        is the overlap-aware makespan.
         """
         spec = get_spec(name)
         if sizes is None:

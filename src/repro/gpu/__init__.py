@@ -12,11 +12,8 @@ from .counters import (
 from .occupancy import Occupancy, occupancy
 from .simulator import RunResult, SimulatedGPU
 from .timing import (
-    BatchTiming,
-    ChainTiming,
     KernelTiming,
     LaunchTiming,
-    estimate_batched_time,
     estimate_chain_time,
     estimate_kernel_time,
     estimate_time,
@@ -27,8 +24,6 @@ __all__ = [
     "GEFORCE_9800",
     "GPUArch",
     "GTX_285",
-    "BatchTiming",
-    "ChainTiming",
     "KernelTiming",
     "LaunchTiming",
     "Occupancy",
@@ -41,7 +36,6 @@ __all__ = [
     "run_lockstep",
     "count_profile",
     "effective_bytes",
-    "estimate_batched_time",
     "estimate_chain_time",
     "estimate_kernel_time",
     "estimate_time",

@@ -52,7 +52,8 @@ class RunResult:
 
     @property
     def gflops(self) -> float:
-        return self.timing.gflops(self.nominal_flops) if self.nominal_flops else 0.0
+        t = self.time_s
+        return self.nominal_flops / t / 1e9 if t > 0 else 0.0
 
     @property
     def feasible(self) -> bool:

@@ -35,12 +35,9 @@ from .occupancy import Occupancy, occupancy
 __all__ = [
     "KernelTiming",
     "LaunchTiming",
-    "BatchTiming",
-    "ChainTiming",
     "DistTiming",
     "estimate_kernel_time",
     "estimate_time",
-    "estimate_batched_time",
     "estimate_chain_time",
     "estimate_dist_time",
 ]
@@ -78,10 +75,6 @@ class LaunchTiming:
     @property
     def feasible(self) -> bool:
         return all(k.bound != "infeasible" for k in self.kernels)
-
-    def gflops(self, nominal_flops: float) -> float:
-        t = self.time_s
-        return nominal_flops / t / 1e9 if t > 0 else 0.0
 
 
 def estimate_kernel_time(arch: GPUArch, model: KernelModel) -> KernelTiming:
@@ -160,77 +153,9 @@ def estimate_time(arch: GPUArch, models: Sequence[KernelModel]) -> LaunchTiming:
     return LaunchTiming([estimate_kernel_time(arch, m) for m in models])
 
 
-@dataclass
-class BatchTiming:
-    """Serial vs fused launch cost for ``batch`` copies of one problem."""
-
-    batch: int
-    #: one launch per problem: every copy pays the launch overhead and,
-    #: for grids smaller than the chip, leaves SMs idle
-    serial_s: float
-    #: one launch with the grid widened ``batch``× along ``block.z``
-    fused_s: float
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_s / self.fused_s if self.fused_s > 0 else 0.0
-
-
-def estimate_batched_time(
-    arch: GPUArch, models: Sequence[KernelModel], batch: int
-) -> BatchTiming:
-    """Why strided-batched beats launch-per-problem for small grids.
-
-    *Serial* runs the launch sequence ``batch`` times: each iteration
-    pays ``arch.launch_overhead_s`` again, and a grid of B blocks keeps
-    only ``min(B, num_sms)`` SMs busy — tiny problems leave most of the
-    chip idle every single launch.  *Fused* widens each kernel's grid
-    ``batch``× (what ``batch_grid`` does along ``block.z``): one
-    overhead, and ``min(B·batch, num_sms)`` SMs active.  The two costs
-    come from the same analytic model, so the comparison isolates
-    exactly the launch-amortisation + occupancy effect.
-    """
-    if batch < 1:
-        raise ValueError("estimate_batched_time needs batch >= 1")
-    serial = estimate_time(arch, models).time_s * batch
-    fused_models = [
-        replace(m, grid_blocks=m.grid_blocks * batch) for m in models
-    ]
-    fused = estimate_time(arch, fused_models).time_s
-    return BatchTiming(batch=batch, serial_s=serial, fused_s=fused)
-
-
-@dataclass
-class ChainTiming:
-    """Back-to-back vs fused launch cost of a routine chain.
-
-    ``serial_s`` runs every node as its own launch sequence;
-    ``fused_s`` merges the compute kernels of each fused segment (per
-    the edge mask) into one launch whose intermediate stays on chip.
-    ``saved_bytes`` is the global intermediate traffic fusion dropped.
-    """
-
-    serial_s: float
-    fused_s: float
-    feasible: bool
-    saved_bytes: float
-    kernels: List[KernelTiming] = field(default_factory=list)
-
-    @property
-    def time_s(self) -> float:
-        """The chain's cost as ranked: ``fused_s``, which is ``inf``
-        exactly when the merged launch is infeasible."""
-        return self.fused_s
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_s / self.fused_s if self.fused_s > 0 else 0.0
-
-
 def _merge_segment(
-    arch: GPUArch,
-    parts,  # [(KernelModel, drop_stores: set, drop_loads: set)]
-):
+    parts: Sequence[Tuple[KernelModel, set, set]],  # (model, drop_stores, drop_loads)
+) -> KernelModel:
     """One merged compute kernel for a fused segment.
 
     The merged launch uses the *widest* grid/block of its parts (every
@@ -242,10 +167,9 @@ def _merge_segment(
     instruction/byte totals are preserved.  Accesses on the segment's
     internal links (the producer's global stores of the intermediate,
     the consumer's global loads of it) are dropped — that round-trip is
-    exactly what fusion eliminates.  Returns ``(model, saved_bytes)``.
+    exactly what fusion eliminates.
     """
     grid = max(m.grid_blocks for m, _, _ in parts)
-    saved = 0.0
     phases = []
     barriers = 0.0
     for model, drop_stores, drop_loads in parts:
@@ -259,9 +183,6 @@ def _merge_segment(
                     or (access.kind == "load" and access.array in drop_loads)
                 )
                 if dropped:
-                    saved += effective_bytes(
-                        arch, access, access.count_per_block * model.grid_blocks
-                    )
                     continue
                 accesses.append(
                     replace(
@@ -277,7 +198,7 @@ def _merge_segment(
                     accesses=accesses,
                 )
             )
-    merged = KernelModel(
+    return KernelModel(
         name="+".join(m.name for m, _, _ in parts),
         role="compute",
         grid_blocks=grid,
@@ -287,17 +208,14 @@ def _merge_segment(
         barriers_per_block=barriers,
         phases=phases,
     )
-    return merged, saved
 
 
 @dataclass
 class DistTiming:
     """Event-timeline account of one distributed (multi-device) call.
 
-    ``overlapped_s`` is the timeline makespan — transfers overlap with
-    every panel compute that does not *wait* on them; ``serial_s`` is
-    the legacy accounting (all transfers charged serially on top of the
-    slowest panel), kept reachable for the overlap-vs-serial ablation.
+    ``time_s`` is the timeline makespan — transfers overlap with every
+    panel compute that does not *wait* on them.
     """
 
     #: modeled kernel time per participating device rank
@@ -305,23 +223,12 @@ class DistTiming:
     #: cost of each scheduled transfer, in issue order
     transfer_s: List[float]
     #: timeline makespan: max over devices of (inbound done + compute)
-    overlapped_s: float
-    #: legacy serial charge: sum(transfers) + max(compute)
-    serial_s: float
+    time_s: float
     nominal_flops: float = 0.0
-
-    @property
-    def time_s(self) -> float:
-        return self.overlapped_s
 
     @property
     def comm_s(self) -> float:
         return sum(self.transfer_s)
-
-    @property
-    def overlap_saved_s(self) -> float:
-        """What overlap-aware accounting reclaims from the serial charge."""
-        return self.serial_s - self.overlapped_s
 
     @property
     def gflops(self) -> float:
@@ -344,15 +251,11 @@ def estimate_dist_time(
 
     * transfers on one channel serialise in issue order; distinct
       channels (peer links of different nodes, the fabric) proceed
-      concurrently — that concurrency is exactly what the legacy serial
-      account gave away;
+      concurrently;
     * a device starts computing once all its inbound transfers have
       landed (the one-sided model's signal-wait), and devices compute
       concurrently;
     * the makespan is the latest of any device finish or channel drain.
-
-    ``serial_s`` keeps the old charge — every transfer summed on top of
-    the slowest panel — so callers can report both sides of the claim.
     """
     if not isinstance(compute_s, Mapping):
         compute_s = dict(enumerate(compute_s))
@@ -370,15 +273,13 @@ def estimate_dist_time(
         inbound_done.get(rank, 0.0) + kernel_s
         for rank, kernel_s in compute_s.items()
     ]
-    overlapped = max(
+    makespan = max(
         max(finishes, default=0.0), max(channel_free.values(), default=0.0)
     )
-    serial = sum(costs) + max(compute_s.values(), default=0.0)
     return DistTiming(
         per_device_s=dict(compute_s),
         transfer_s=costs,
-        overlapped_s=overlapped,
-        serial_s=serial,
+        time_s=makespan,
         nominal_flops=nominal_flops,
     )
 
@@ -388,8 +289,8 @@ def estimate_chain_time(
     launches: Sequence[Sequence[KernelModel]],
     links: Sequence,
     mask: Optional[Sequence[bool]] = None,
-) -> ChainTiming:
-    """Serial vs fused launch cost for a chain of routine launches.
+) -> LaunchTiming:
+    """Launch cost of a chain of routine launches under a fusion mask.
 
     ``launches[i]`` is node *i*'s kernel-model sequence (remap kernels +
     compute kernels, as :func:`repro.codegen.analysis.analyze_computation`
@@ -399,7 +300,9 @@ def estimate_chain_time(
     all edges).  Nodes joined by fused edges form a segment: the
     segment's compute kernels merge into ONE launch (see
     :func:`_merge_segment`) while remap kernels stay separate; unfused
-    nodes keep their serial launch sequence.
+    nodes keep their own launch sequence.  The result is the
+    :class:`LaunchTiming` of every kernel the masked chain launches, so
+    the all-unfused mask costs exactly the nodes' own launch sequences.
 
     The account captures both sides of the fusion trade: one launch
     overhead instead of N and the intermediate's global round-trip
@@ -415,8 +318,6 @@ def estimate_chain_time(
     if len(edge_mask) != n - 1:
         raise ValueError(f"mask has {len(edge_mask)} entries for {n - 1} edges")
 
-    serial_s = sum(estimate_time(arch, models).time_s for models in launches)
-
     segments = []
     start = 0
     for e, fused in enumerate(edge_mask):
@@ -426,7 +327,6 @@ def estimate_chain_time(
     segments.append((start, n - 1))
 
     kernels: List[KernelTiming] = []
-    saved_total = 0.0
     for a, b in segments:
         if a == b:
             kernels.extend(estimate_time(arch, launches[a]).kernels)
@@ -440,15 +340,5 @@ def estimate_chain_time(
                     parts.append((model, drop_stores, drop_loads))
                 else:
                     kernels.append(estimate_kernel_time(arch, model))
-        merged, saved = _merge_segment(arch, parts)
-        saved_total += saved
-        kernels.append(estimate_kernel_time(arch, merged))
-
-    fused_timing = LaunchTiming(kernels)
-    return ChainTiming(
-        serial_s=serial_s,
-        fused_s=fused_timing.time_s,
-        feasible=fused_timing.feasible,
-        saved_bytes=saved_total,
-        kernels=kernels,
-    )
+        kernels.append(estimate_kernel_time(arch, _merge_segment(parts)))
+    return LaunchTiming(kernels)

@@ -35,12 +35,11 @@ class MicroBatcher:
     preserve submission order, so extraction stays deterministic.
     """
 
-    def __init__(self, max_batch: int = 8, pack: bool = False, pack_max_dim: int = 64):
+    def __init__(self, max_batch: int = 8, pack: bool = False):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = max_batch
         self.pack = pack
-        self.pack_max_dim = pack_max_dim
         self._queue: List[Request] = []
         #: deepest the queue has ever been (telemetry gauge)
         self.peak_depth = 0
@@ -62,13 +61,13 @@ class MicroBatcher:
         key = self._queue[0].group_key()
         count = sum(1 for r in self._queue if r.group_key() == key)
         if self.pack:
-            pkey = self._queue[0].pack_key(self.pack_max_dim)
+            pkey = self._queue[0].pack_key()
             if pkey is not None:
                 count += sum(
                     1
                     for r in self._queue
                     if r.group_key() != key
-                    and r.pack_key(self.pack_max_dim) == pkey
+                    and r.pack_key() == pkey
                 )
         return count
 
@@ -89,13 +88,13 @@ class MicroBatcher:
             else:
                 rest.append(request)
         if self.pack and len(batch) < self.max_batch:
-            pkey = batch[0].pack_key(self.pack_max_dim)
+            pkey = batch[0].pack_key()
             if pkey is not None:
                 keep: List[Request] = []
                 for request in rest:
                     if (
                         len(batch) < self.max_batch
-                        and request.pack_key(self.pack_max_dim) == pkey
+                        and request.pack_key() == pkey
                     ):
                         batch.append(request)
                     else:

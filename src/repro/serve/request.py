@@ -19,6 +19,11 @@ import numpy as np
 
 __all__ = ["Request", "Response", "PendingResult", "ServeError", "as_completed"]
 
+#: largest dimension eligible for pad-packing (see Request.pack_key):
+#: padding waste grows with the class size, and larger calls saturate
+#: the GPU alone
+PACK_MAX_DIM = 64
+
 
 class ServeError(RuntimeError):
     """A request failed inside the service (carried via Response.error)."""
@@ -78,7 +83,7 @@ class Request:
         """Whether the deadline budget is spent at clock reading ``now``."""
         return self.deadline_s is not None and (now - self.submitted_at) > self.deadline_s
 
-    def pack_key(self, max_dim: int = 64) -> Optional[Tuple]:
+    def pack_key(self) -> Optional[Tuple]:
         """Shape-*class* coalescing key for cross-request packing.
 
         Where :meth:`group_key` requires identical shapes,
@@ -88,9 +93,8 @@ class Request:
         already shares a plan.  Requests agreeing on it can ride one
         strided-batched (BGEMM) launch, zero-padded to the batch's
         per-dimension maxima.  Returns ``None`` for calls that cannot
-        pack — non-GEMM routines, or any dimension above ``max_dim``
-        (padding waste grows with the class size; large calls saturate
-        the GPU alone).
+        pack — non-GEMM routines, or any dimension above
+        :data:`PACK_MAX_DIM`.
 
         Deadline *presence* stays part of the key for the same reason
         it is part of ``group_key``: resolving the batched plan
@@ -110,7 +114,7 @@ class Request:
         except Exception:
             return None
         dims = [int(v) for k, v in sizes.items() if k != "P"]
-        if not dims or max(dims) > max_dim or min(dims) < 1:
+        if not dims or max(dims) > PACK_MAX_DIM or min(dims) < 1:
             return None
         largest = max(dims)
         bucket = 1 << (largest - 1).bit_length() if largest > 1 else 1

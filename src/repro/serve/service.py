@@ -109,9 +109,6 @@ class ServeOptions:
     devices: int = 1
     #: deadline applied to requests that do not carry their own
     default_deadline_s: Optional[float] = None
-    #: tune one plan per size bucket (False: one plan per routine,
-    #: tuned at TuningOptions.tune_size, still keyed per bucket)
-    bucket_tuning: bool = True
     #: answer deadline-bound cold requests with the cost model's instant
     #: predicted plan (needs a trained model in the tuning cache dir)
     predicted_plans: bool = True
@@ -121,8 +118,6 @@ class ServeOptions:
     #: coalesce small same-routine GEMM requests (different data, even
     #: different shapes) into one strided-batched BGEMM launch
     pack_requests: bool = False
-    #: largest dimension eligible for pad-packing (see Request.pack_key)
-    pack_max_dim: int = 64
     #: smallest dispatch bucket.  Below the default 16 the service tunes
     #: dedicated sub-16 plans over the small-tile space
     #: (:func:`repro.tuner.space.small_space`), so an N=8 call stops
@@ -206,9 +201,7 @@ class BlasService:
         # the queue's condition variable.
         self._gen_lock = threading.RLock()
         self._batcher = MicroBatcher(
-            self.options.max_batch,
-            pack=self.options.pack_requests,
-            pack_max_dim=self.options.pack_max_dim,
+            self.options.max_batch, pack=self.options.pack_requests
         )
         self._pending: Dict[int, PendingResult] = {}
         self._lock = threading.Lock()
@@ -588,8 +581,6 @@ class BlasService:
         return tuning
 
     def _generator_for(self, bucket: int) -> LibraryGenerator:
-        if not self.options.bucket_tuning:
-            bucket = 0
         with self._gen_lock:
             gen = self._generators.get(bucket)
             if gen is None:
@@ -725,7 +716,7 @@ class BlasService:
             generator = LibraryGenerator(
                 self.arch,
                 telemetry=self.telemetry,
-                options=self._tuning_for(bucket if self.options.bucket_tuning else 0),
+                options=self._tuning_for(bucket),
             )
             with self.telemetry.span(
                 "serve.background_tune", routine=routine, bucket=bucket

@@ -43,7 +43,7 @@ import numpy as np
 from ..blas3.routines import get_spec
 from ..composer.fuse import StitchedChain, fuse_chain, stitch_chain
 from ..gpu.simulator import SimulatedGPU
-from ..gpu.timing import ChainTiming, estimate_chain_time
+from ..gpu.timing import LaunchTiming, estimate_chain_time
 from ..ir.ast import Computation
 from ..jit import LazyKernel
 from ..jit import execute as jit_execute
@@ -142,8 +142,8 @@ class ChainPlan:
     mask: Tuple[bool, ...]
     applied: List[bool]
     segments: List[ChainSegment]
-    timing: Optional[ChainTiming] = None
-    unfused_timing: Optional[ChainTiming] = None
+    timing: Optional[LaunchTiming] = None
+    unfused_timing: Optional[LaunchTiming] = None
     notes: List[str] = field(default_factory=list)
     telemetry: Optional[Telemetry] = field(default=None, repr=False, compare=False)
 

@@ -42,6 +42,12 @@ class TestTransferOp:
         assert all(sec == pytest.approx(1.0) for _, _, sec in events)
 
 
+def serial_charge(timing):
+    """The serial account: every transfer summed on top of the slowest
+    panel, with no overlap."""
+    return sum(timing.transfer_s) + max(timing.per_device_s.values())
+
+
 class TestEstimateDistTime:
     def test_single_channel_matches_serial(self):
         # One shared channel and uniform compute: the last transfer
@@ -50,9 +56,8 @@ class TestEstimateDistTime:
             {0: 1.0, 1: 1.0, 2: 1.0},
             [(1, "peer:0", 0.25), (2, "peer:0", 0.25)],
         )
-        assert timing.serial_s == pytest.approx(1.5)
-        assert timing.overlapped_s == pytest.approx(1.5)
-        assert timing.overlap_saved_s == pytest.approx(0.0)
+        assert serial_charge(timing) == pytest.approx(1.5)
+        assert timing.time_s == pytest.approx(1.5)
 
     def test_distinct_channels_overlap(self):
         # Same transfers spread over two channels: they run
@@ -61,16 +66,16 @@ class TestEstimateDistTime:
             {0: 1.0, 1: 1.0, 2: 1.0},
             [(1, "peer:0", 0.25), (2, "fabric", 0.25)],
         )
-        assert timing.serial_s == pytest.approx(1.5)
-        assert timing.overlapped_s == pytest.approx(1.25)
-        assert timing.overlap_saved_s == pytest.approx(0.25)
+        assert serial_charge(timing) == pytest.approx(1.5)
+        assert timing.time_s == pytest.approx(1.25)
+        assert serial_charge(timing) - timing.time_s == pytest.approx(0.25)
 
     def test_device_waits_for_all_inbound(self):
         timing = estimate_dist_time(
             {0: 0.1},
             [(0, "peer:0", 0.5), (0, "fabric", 0.2)],
         )
-        assert timing.overlapped_s == pytest.approx(0.6)
+        assert timing.time_s == pytest.approx(0.6)
 
     def test_transfers_on_one_channel_serialise(self):
         timing = estimate_dist_time(
@@ -78,17 +83,17 @@ class TestEstimateDistTime:
             [(0, "fabric", 0.5), (1, "fabric", 0.5)],
         )
         # the second transfer starts only at t=0.5
-        assert timing.overlapped_s == pytest.approx(1.1)
+        assert timing.time_s == pytest.approx(1.1)
 
     def test_channel_drain_bounds_makespan(self):
         # A transfer to a rank with no compute still occupies the link.
         timing = estimate_dist_time({0: 0.1}, [(2, "fabric", 1.0)])
-        assert timing.overlapped_s == pytest.approx(1.0)
+        assert timing.time_s == pytest.approx(1.0)
 
     def test_sequence_compute_means_ranks_in_order(self):
         timing = estimate_dist_time([0.5, 1.0], [(1, "peer:0", 0.25)])
         assert timing.per_device_s == {0: 0.5, 1: 1.0}
-        assert timing.overlapped_s == pytest.approx(1.25)
+        assert timing.time_s == pytest.approx(1.25)
 
     def test_rejects_negative_transfer(self):
         with pytest.raises(ValueError):

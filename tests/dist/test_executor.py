@@ -220,15 +220,16 @@ class TestTiming:
         # charge — the legacy multi-GPU numbers are unchanged.
         lib = DistLibrary(GTX_285, single_node(2), generator=gen)
         t = lib.timing("GEMM-NN", 512)
-        assert t.overlapped_s == pytest.approx(t.serial_s)
+        serial = sum(t.transfer_s) + max(t.per_device_s.values())
+        assert t.time_s == pytest.approx(serial)
 
     def test_multi_node_overlap_beats_serial(self, gen):
         # Peer and fabric channels run concurrently: the event timeline
         # reclaims time the serial account charges.
         lib = DistLibrary(GTX_285, multi_node(2, 2), generator=gen)
         t = lib.timing("GEMM-NN", 512)
-        assert t.overlapped_s < t.serial_s
-        assert t.overlap_saved_s > 0
+        serial = sum(t.transfer_s) + max(t.per_device_s.values())
+        assert t.time_s < serial
 
     def test_2d_moves_fewer_bytes_than_1d(self, gen):
         lib = DistLibrary(GTX_285, multi_node(4, 4), generator=gen)
@@ -331,11 +332,10 @@ class TestShimEquivalence:
     def test_shim_timing_exposes_both_accounts(self, gen):
         lib = DistLibrary(GTX_285, single_node(2), generator=gen)
         t = lib.timing("GEMM-NN", 512)
-        assert t.time_s == t.overlapped_s
-        # single-node uniform split: overlap reclaims nothing, the two
-        # accounts coincide (legacy numbers unchanged)
-        assert t.serial_s == pytest.approx(max(t.per_device_s.values()) + t.comm_s)
-        assert t.time_s == pytest.approx(t.serial_s)
+        # single-node uniform split: overlap reclaims nothing, the
+        # timeline equals the serial charge (legacy numbers unchanged)
+        serial = max(t.per_device_s.values()) + t.comm_s
+        assert t.time_s == pytest.approx(serial)
 
     def test_batched_variant_splits_correctly(self, gen):
         # The derived broadcast set makes BGEMM work through the

@@ -16,7 +16,6 @@ from repro.gpu import (
     SimulatedGPU,
     bank_conflict_degree,
     effective_bytes,
-    estimate_batched_time,
     estimate_time,
     transactions_per_group,
 )
@@ -130,7 +129,7 @@ class TestTiming:
         assert not timing.feasible
 
     def test_chain_time_is_inf_exactly_when_infeasible(self):
-        # The ranker compares ChainTiming.time_s alone, so an infeasible
+        # The ranker compares the chain's time_s alone, so an infeasible
         # merged launch must cost inf and a feasible one must not.
         models = analyze_computation(tuned_gemm(), {"M": 256, "N": 256, "K": 256})
         heavy = [
@@ -163,31 +162,31 @@ class TestTiming:
         assert c.instructions > 0
 
 
+def widened(models, batch):
+    """One strided-batched launch: every grid ``batch``× wider (what
+    ``batch_grid`` does along ``block.z``)."""
+    return [replace(m, grid_blocks=m.grid_blocks * batch) for m in models]
+
+
 class TestBatchedTiming:
-    """Fused-vs-serial account for strided-batched launches."""
+    """A batched launch is ``estimate_time`` on a widened grid; the
+    serial alternative runs the launch sequence once per problem."""
 
     SMALL = {"M": 64, "N": 64, "K": 64}  # a handful of blocks: idle SMs
 
     def test_serial_scales_linearly(self):
         models = analyze_computation(tuned_gemm(), self.SMALL)
         single = estimate_time(GTX_285, models).time_s
-        batched = estimate_batched_time(GTX_285, models, 4)
-        assert batched.serial_s == pytest.approx(4 * single)
+        serial = estimate_time(GTX_285, models * 4).time_s
+        assert serial == pytest.approx(4 * single)
 
     def test_fused_beats_serial_for_small_grids(self):
         models = analyze_computation(tuned_gemm(), self.SMALL)
-        batched = estimate_batched_time(GTX_285, models, 8)
-        assert batched.fused_s < batched.serial_s
-        assert batched.speedup > 1.0
+        serial = 8 * estimate_time(GTX_285, models).time_s
+        fused = estimate_time(GTX_285, widened(models, 8)).time_s
+        assert fused < serial
 
     def test_batch_of_one_is_the_plain_estimate(self):
         models = analyze_computation(tuned_gemm(), self.SMALL)
         single = estimate_time(GTX_285, models).time_s
-        batched = estimate_batched_time(GTX_285, models, 1)
-        assert batched.fused_s == pytest.approx(single)
-        assert batched.serial_s == pytest.approx(single)
-
-    def test_rejects_nonpositive_batch(self):
-        models = analyze_computation(tuned_gemm(), self.SMALL)
-        with pytest.raises(ValueError):
-            estimate_batched_time(GTX_285, models, 0)
+        assert estimate_time(GTX_285, widened(models, 1)).time_s == single

@@ -48,7 +48,6 @@ class TestPackKey:
 
     def test_large_calls_do_not_pack(self):
         assert _gemm(1, 65, 8, 8).pack_key() is None
-        assert _gemm(2, 33, 8, 8).pack_key(max_dim=32) is None
 
     def test_non_gemm_does_not_pack(self):
         request = Request(

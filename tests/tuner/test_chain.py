@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.dag import Dag, chain
-from repro.gpu import GTX_285
+from repro.gpu import GTX_285, SimulatedGPU, estimate_time
 from repro.telemetry import Telemetry
 from repro.tuner import LibraryGenerator, TuningOptions
 from repro.tuner.chain import build_chain_plan, node_sizes_from_canonical
@@ -132,6 +132,38 @@ class TestFusedChain:
         np.testing.assert_allclose(
             out, dag.reference(arrays), rtol=1e-4, atol=1e-4
         )
+
+
+class TestChainTimingIdentities:
+    """The fusion benchmark rebuilds its serial and saved-traffic
+    figures from the plan's two launch timings; pin both identities on
+    its smoke GEMM-NN→TRSM-LL-N chain (N=32, tuned at N)."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        smoke = LibraryGenerator(
+            GTX_285, options=TuningOptions(tune_size=N, space=SPACE, jobs=1)
+        )
+        return build_chain_plan(
+            gemm_trsm_dag(), smoke, arrays=make_inputs(), fuse=True
+        )
+
+    def test_unfused_time_is_the_nodes_own_launches(self, plan):
+        assert plan.fused
+        dag = plan.dag
+        node_sizes = dag.node_sizes({k: v.shape for k, v in make_inputs().items()})
+        gpu = SimulatedGPU(GTX_285)
+        per_node = sum(
+            estimate_time(GTX_285, gpu.profile(node.comp, sizes).models).time_s
+            for node, sizes in zip(plan.node_plans, node_sizes)
+        )
+        assert plan.unfused_timing.time_s == per_node
+        assert plan.timing.time_s < plan.unfused_timing.time_s
+
+    def test_saved_bytes_is_the_dropped_round_trip(self, plan):
+        unfused = sum(k.bytes_moved for k in plan.unfused_timing.kernels)
+        fused = sum(k.bytes_moved for k in plan.timing.kernels)
+        assert unfused - fused == 91_136
 
 
 class TestDeclinedChain:

@@ -8,16 +8,26 @@ import pytest
 
 from repro.blas3.routines import get_spec
 from repro.dist import enumerate_plans, multi_node
-from repro.gpu.timing import ChainTiming, DistTiming
+from repro.gpu.occupancy import Occupancy
+from repro.gpu.timing import DistTiming, KernelTiming, LaunchTiming
 from repro.tuner.search import rank
 
 
 def chain_sweep(times):
-    """Fusion masks over two edges (all-unfused first), costed as chain
-    timings; an ``inf`` time is an infeasible merged launch."""
+    """Fusion masks over two edges (all-unfused first), costed as
+    one-kernel launch timings; an ``inf`` time is an infeasible merged
+    launch."""
     masks = list(itertools.product((False, True), repeat=2))[: len(times)]
+    occ = Occupancy(blocks_per_sm=1, active_warps=1, occupancy=0.5, limiter="")
     timings = [
-        ChainTiming(serial_s=1.0, fused_s=t, feasible=t != math.inf, saved_bytes=0.0)
+        LaunchTiming(
+            [
+                KernelTiming(
+                    "merged", t, t, 0.0, occ, 0.0, 0.0, 0.0,
+                    "infeasible" if t == math.inf else "compute",
+                )
+            ]
+        )
         for t in times
     ]
     return masks, timings
@@ -28,7 +38,7 @@ def dist_sweep(times):
     as event-timeline accounts."""
     plans = enumerate_plans(get_spec("GEMM-NN"), multi_node(4, 4))[: len(times)]
     timings = [
-        DistTiming(per_device_s={0: t}, transfer_s=[], overlapped_s=t, serial_s=t)
+        DistTiming(per_device_s={0: t}, transfer_s=[], time_s=t)
         for t in times
     ]
     return plans, timings
