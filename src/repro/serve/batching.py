@@ -16,7 +16,7 @@ pure data structure guarded by the service's lock.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .request import Request
 
@@ -50,9 +50,6 @@ class MicroBatcher:
     def append(self, request: Request) -> None:
         self._queue.append(request)
         self.peak_depth = max(self.peak_depth, len(self._queue))
-
-    def head(self) -> Optional[Request]:
-        return self._queue[0] if self._queue else None
 
     def matching_head(self) -> int:
         """How many queued requests would join the head's batch now."""

@@ -32,7 +32,16 @@ kernel on first use and runs it through
 telemetry — no analytic profile and no IR fingerprint per request; only
 uncompilable IR pays the interpreter (``jit.fallback``).
 
-Two execution modes share the same dispatch path:
+One execution path serves every request.  A launch first tries to
+pack (pack mode only), and otherwise serves exact-shape groups; an
+unpacked batch is simply one group.  Single calls and DAGs resolve their
+plans through one resolver, ``_resolve_plan``, and every response —
+tuned, packed, fallback, deadline-expired or error — is built and
+fulfilled at one answer site, ``_answer``, inside that request's
+``serve.request`` span.  So each submitted request is answered exactly
+once, whichever path it took.
+
+Two execution modes share that path:
 
 * **threaded** (``service.start()`` or the context manager): a single
   dispatcher thread drains the queue — submitters block on
@@ -55,7 +64,8 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -261,8 +271,6 @@ class BlasService:
         :meth:`flush` (or use :meth:`run`) to process the queue.
         """
         spec = get_spec(routine)  # canonicalises + validates the name
-        if deadline_s is None:
-            deadline_s = self.options.default_deadline_s
         bound = [array.name for array in spec.arrays if array.name in arrays]
         try:
             # single calls are one-node DAGs internally: the legacy
@@ -272,18 +280,15 @@ class BlasService:
             # under-bound call: still queued, answered at serve time
             # with source="error" exactly as before the DAG surface
             dag = None
-        request = Request(
-            id=next(self._ids),
-            routine=spec.name,
-            arrays={k: np.asarray(v) for k, v in arrays.items()},
+        return self._enqueue(
+            spec.name,
+            arrays,
+            deadline_s,
+            dag,
             alpha=alpha,
             beta=beta,
             sizes=dict(sizes) if sizes is not None else None,
-            deadline_s=deadline_s,
-            submitted_at=self.clock(),
-            dag=dag,
         )
-        return self._enqueue(request)
 
     def submit_dag(
         self,
@@ -318,38 +323,31 @@ class BlasService:
                 deadline_s=deadline_s,
                 **{op: arrays[sym] for op, sym in node.operands.items()},
             )
+        sizes = dag.canonical_sizes(arrays)
+        self.telemetry.incr("serve.dag.requests")
+        self.telemetry.incr("serve.dag.nodes", len(dag))
+        return self._enqueue(dag.routine_key, arrays, deadline_s, dag, sizes=sizes)
+
+    def _enqueue(
+        self,
+        routine: str,
+        arrays: Mapping[str, np.ndarray],
+        deadline_s: Optional[float],
+        dag: Optional[Dag],
+        **fields,
+    ) -> PendingResult:
+        """Build, register and queue one request (every submit surface)."""
         if deadline_s is None:
             deadline_s = self.options.default_deadline_s
-        values = {k: np.asarray(v) for k, v in arrays.items()}
         request = Request(
             id=next(self._ids),
-            routine=dag.routine_key,
-            arrays=values,
-            sizes=dag.canonical_sizes(values),
+            routine=routine,
+            arrays={k: np.asarray(v) for k, v in arrays.items()},
             deadline_s=deadline_s,
             submitted_at=self.clock(),
             dag=dag,
+            **fields,
         )
-        self.telemetry.incr("serve.dag.requests")
-        self.telemetry.incr("serve.dag.nodes", len(dag))
-        return self._enqueue(request)
-
-    def run_dag(
-        self,
-        dag: "Dag | Expr",
-        *,
-        deadline_s: Optional[float] = None,
-        **arrays: np.ndarray,
-    ) -> np.ndarray:
-        """Submit one DAG request and block for its result array."""
-        pending = self.submit_dag(dag, deadline_s=deadline_s, **arrays)
-        if self._thread is None:
-            self.flush()
-        return pending.output()
-
-    def _enqueue(self, request: Request) -> PendingResult:
-        """Register + queue one built request (shared by every submit
-        surface)."""
         pending = PendingResult(request.id, telemetry=self.telemetry)
         self.telemetry.incr("serve.requests")
         with self._lock:
@@ -363,27 +361,19 @@ class BlasService:
             self._cond.notify_all()
         return pending
 
-    def run(
-        self,
-        routine: str,
-        *,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        sizes: Optional[Mapping[str, int]] = None,
-        deadline_s: Optional[float] = None,
-        **arrays: np.ndarray,
-    ) -> np.ndarray:
-        """Submit one call and block for its result array."""
-        pending = self.submit(
-            routine,
-            alpha=alpha,
-            beta=beta,
-            sizes=sizes,
-            deadline_s=deadline_s,
-            **arrays,
-        )
+    def run(self, routine: str, **kwargs) -> np.ndarray:
+        """Submit one call (keywords as :meth:`submit`) and block for its
+        result array."""
+        return self._wait(self.submit(routine, **kwargs))
+
+    def run_dag(self, dag: "Dag | Expr", **kwargs) -> np.ndarray:
+        """Submit one DAG request (keywords as :meth:`submit_dag`) and
+        block for its result array."""
+        return self._wait(self.submit_dag(dag, **kwargs))
+
+    def _wait(self, pending: PendingResult) -> np.ndarray:
         if self._thread is None:
-            self.flush()
+            self.flush()  # no dispatcher: drain inline
         return pending.output()
 
     def flush(self) -> int:
@@ -478,10 +468,14 @@ class BlasService:
         Returns the number of plans stored (0 without a ``cache_dir``).
         Counter: ``serve.snapshot.stored``.
         """
+        return self._store_snapshot(tag, self.plan_records())
+
+    def _store_snapshot(self, tag: str, records: List[Dict]) -> int:
+        """Store ``records`` as the ``tag`` snapshot (the sharded tier
+        stores its combined document through here too)."""
         cache = self._snapshot_cache()
         if cache is None:
             return 0
-        records = self.plan_records()
         cache.store_plan_snapshot(self.arch, tag, records)
         self.telemetry.incr("serve.snapshot.stored", len(records))
         return len(records)
@@ -610,9 +604,17 @@ class BlasService:
 
     def _resolve_plan(self, request: Request) -> Tuple[Optional[Plan], Optional[str]]:
         """Plan for a request, or ``(None, reason)`` when only the
-        baseline can answer within the deadline."""
-        if request.chained:
-            return self._resolve_chain_plan(request)
+        baseline can answer within the deadline.
+
+        Single calls and multi-node DAGs share one key discipline —
+        ``(routine, arch, bucket)``, where a DAG's routine is
+        ``dag:<fingerprint>`` — so identical DAG shapes share one
+        :class:`~repro.tuner.chain.ChainPlan` and hit the hot table.
+        A deadline-bound miss only tunes when every routine it needs
+        (the call's own, or each DAG node's) is reconstructable from the
+        on-disk cache; a single call first tries the cost model's
+        predicted plan, a DAG degrades to the baseline directly.
+        """
         sizes = self._sizes_for(request)
         bucket = self._bucket(sizes)
         key: PlanKey = (request.routine, self.arch.name, bucket)
@@ -620,12 +622,16 @@ class BlasService:
         if plan is not None:
             return plan, None
         generator = self._generator_for(bucket)
-        if request.deadline_s is not None and not generator.has_cached(request.routine):
+        dag = request.dag if request.chained else None
+        routines = [request.routine] if dag is None else [n.routine for n in dag.nodes]
+        if request.deadline_s is not None and not all(
+            generator.has_cached(routine) for routine in routines
+        ):
             # A cold search will not fit any deadline budget.  Before
             # degrading to the baseline, try the cost model's instant
             # predicted plan: the model's top config, cheaply verified —
             # answered now, tuned for real in the background.
-            if self.options.predicted_plans:
+            if dag is None and self.options.predicted_plans:
                 predicted = generator.predict(request.routine)
                 if predicted is not None:
                     plan = Plan(key, predicted, predicted=True)
@@ -634,51 +640,25 @@ class BlasService:
                     self._promote_async(key, bucket, request.routine)
                     return plan, None
             return None, "no-plan"
-        with self.telemetry.span(
-            "serve.tune", routine=request.routine, bucket=bucket
-        ):
-            tuned = generator.generate(request.routine)
-        self.telemetry.incr("serve.tuned")
+        if dag is None:
+            with self.telemetry.span(
+                "serve.tune", routine=request.routine, bucket=bucket
+            ):
+                tuned = generator.generate(request.routine)
+            self.telemetry.incr("serve.tuned")
+        else:
+            with self.telemetry.span(
+                "serve.tune_chain", routine=request.routine, bucket=bucket
+            ):
+                tuned = build_chain_plan(
+                    dag,
+                    generator,
+                    node_sizes=node_sizes_from_canonical(dag, sizes),
+                    fuse=self.options.fuse_dags,
+                    telemetry=self.telemetry,
+                )
+            self.telemetry.incr("serve.dag.tuned")
         plan = Plan(key, tuned)
-        self.table.insert(plan)
-        return plan, None
-
-    def _resolve_chain_plan(
-        self, request: Request
-    ) -> Tuple[Optional[Plan], Optional[str]]:
-        """Chain plan for a multi-node DAG request.
-
-        Keyed exactly like single-call plans — ``(dag:<fingerprint>,
-        arch, bucket)`` — so identical DAG shapes share one resolved
-        :class:`~repro.tuner.chain.ChainPlan` and hit the hot table.
-        Deadline-bound requests only tune when every node's per-routine
-        plan is reconstructable from the on-disk cache (the fusion
-        search itself is cheap; cold per-node searches are not).
-        """
-        sizes = self._sizes_for(request)
-        bucket = self._bucket(sizes)
-        key: PlanKey = (request.routine, self.arch.name, bucket)
-        plan = self.table.lookup(key)
-        if plan is not None:
-            return plan, None
-        dag = request.dag
-        generator = self._generator_for(bucket)
-        if request.deadline_s is not None and not all(
-            generator.has_cached(node.routine) for node in dag.nodes
-        ):
-            return None, "no-plan"
-        with self.telemetry.span(
-            "serve.tune_chain", routine=request.routine, bucket=bucket
-        ):
-            chain_plan = build_chain_plan(
-                dag,
-                generator,
-                node_sizes=node_sizes_from_canonical(dag, sizes),
-                fuse=self.options.fuse_dags,
-                telemetry=self.telemetry,
-            )
-        self.telemetry.incr("serve.dag.tuned")
-        plan = Plan(key, chain_plan)
         self.table.insert(plan)
         return plan, None
 
@@ -753,24 +733,23 @@ class BlasService:
         ) as launch:
             self.telemetry.incr("serve.launches")
             self.telemetry.incr("serve.batched_requests", len(batch))
+            groups = [batch]
             if len(batch) > 1:
                 self.telemetry.incr("serve.coalesced", len(batch) - 1)
-            if self.options.pack_requests and len(batch) > 1:
-                if self._try_packed(batch, started, launch):
-                    return
-                # Packing declined (no batched plan, non-GEMM, ...).  A
-                # pack-tier batch may mix group keys, and the plain path
-                # resolves ONE plan for the whole batch — split back
-                # into exact-shape groups so no rider is served against
-                # the head's plan and sizes.
-                groups: Dict[Tuple, List[Request]] = {}
-                for request in batch:
-                    groups.setdefault(request.group_key(), []).append(request)
-                if len(groups) > 1:
-                    for group in groups.values():
-                        self._execute_group(group, started, launch)
-                    return
-            self._execute_group(batch, started, launch)
+                if self.options.pack_requests:
+                    if self._try_packed(batch, started, launch):
+                        return
+                    # Packing declined (no batched plan, non-GEMM, ...).
+                    # A pack-tier batch may mix group keys, and a group
+                    # resolves ONE plan — split back into exact-shape
+                    # groups so no rider is served against the head's
+                    # plan and sizes.
+                    split: Dict[Tuple, List[Request]] = {}
+                    for request in batch:
+                        split.setdefault(request.group_key(), []).append(request)
+                    groups = list(split.values())
+            for group in groups:
+                self._execute_group(group, started, launch)
 
     def _execute_group(
         self, batch: List[Request], started: float, launch
@@ -781,7 +760,7 @@ class BlasService:
             plan, fallback_reason = self._resolve_plan(first)
         except Exception as exc:  # un-servable routine/shape
             for request in batch:
-                self._fulfill_error(request, exc, len(batch), started)
+                self._answer(request, len(batch), started, partial(_reraise, exc))
             return
         # Deadlines are judged *after* plan resolution: a cold tune
         # (or cache rebuild) runs on this thread, and a batch member
@@ -849,7 +828,8 @@ class BlasService:
             return False
         # Committed to the packed path from here on: every member is
         # answered below.  Budgets are re-judged on the post-resolution
-        # clock, exactly like the per-group path.
+        # clock, exactly like the per-group path, and expired members
+        # fall back before the launch.
         resolved_at = self.clock()
         live = [(r, s) for r, s in sized if not r.expired(resolved_at)]
         for request, _sizes in sized:
@@ -881,37 +861,19 @@ class BlasService:
                 beta=0.0,
             )
         except Exception as exc:
-            for request, _s in live:
-                self._fulfill_error(request, exc, len(batch), started)
-            return True
-        launch.tags["source"] = "tuned"
-        launch.tags["packed"] = p
-        self.telemetry.incr("serve.packed_launches")
-        self.telemetry.incr("serve.packed", p)
-        self.telemetry.incr("serve.pack_waste", p * m * n * k - logical_macs)
-        for i, (request, s) in enumerate(live):
-            sm, sn = s["M"], s["N"]
-            with self.telemetry.span(
-                "serve.request", routine=request.routine, id=request.id
-            ) as span:
-                span.tags["source"] = "tuned"
-                span.tags["packed"] = True
-                result = request.alpha * packed[i, :sm, :sn]
-                c_in = request.arrays.get("C")
-                if c_in is not None and request.beta != 0.0:
-                    result = result + request.beta * np.asarray(
-                        c_in, dtype=np.float32
-                    )[:sm, :sn]
-                response = Response(
-                    request_id=request.id,
-                    routine=request.routine,
-                    output=np.asarray(result, dtype=np.float32),
-                    source="tuned",
-                    batch_size=len(batch),
-                    wait_s=max(0.0, started - request.submitted_at),
-                    total_s=max(0.0, self.clock() - request.submitted_at),
-                )
-            self._fulfill(response)
+            steps = [partial(_reraise, exc)] * p
+        else:
+            launch.tags["source"] = "tuned"
+            launch.tags["packed"] = p
+            self.telemetry.incr("serve.packed_launches")
+            self.telemetry.incr("serve.packed", p)
+            self.telemetry.incr("serve.pack_waste", p * m * n * k - logical_macs)
+            steps = [
+                partial(_unpack, packed, i, request, s)
+                for i, (request, s) in enumerate(live)
+            ]
+        for (request, _s), step in zip(live, steps):
+            self._answer(request, len(batch), started, step, packed=True)
         return True
 
     def _serve_one(
@@ -922,40 +884,64 @@ class BlasService:
         fallback_reason: Optional[str],
         batch_size: int,
         started: float,
-        resolved_at: Optional[float] = None,
+        resolved_at: float,
     ) -> None:
+        """Answer one request from its plan, or from the baseline when
+        the plan is missing or the request's budget is spent."""
+        if fallback_reason is None and request.expired(resolved_at):
+            fallback_reason = "deadline"
+            self.telemetry.incr("serve.deadline_misses")
+        if fallback_reason is None:  # a resolved plan comes without a reason
+            compute = partial(self._run_tuned, request, plan, backend)
+        else:
+            compute = partial(self._run_fallback, request)
+        self._answer(request, batch_size, started, compute, fallback_reason)
+
+    def _answer(
+        self,
+        request: Request,
+        batch_size: int,
+        started: float,
+        compute: Callable[[], np.ndarray],
+        fallback_reason: Optional[str] = None,
+        **tags,
+    ) -> None:
+        """Build and fulfil the one :class:`Response` of ``request``.
+
+        Every serving path answers here: tuned, packed, fallback,
+        deadline-expired and error.  ``compute()`` runs inside the
+        request's ``serve.request`` span; a ``fallback_reason`` marks a
+        baseline answer (``serve.fallbacks``), and a raising
+        ``compute`` answers ``source="error"`` (``serve.errors``)
+        without stopping the dispatcher.
+        """
         wait_s = max(0.0, started - request.submitted_at)
-        if resolved_at is None:
-            resolved_at = started
+        error = None
         with self.telemetry.span(
-            "serve.request", routine=request.routine, id=request.id
+            "serve.request", routine=request.routine, id=request.id, **tags
         ) as span:
-            reason = fallback_reason
-            if reason is None and request.expired(resolved_at):
-                reason = "deadline"
-                self.telemetry.incr("serve.deadline_misses")
             try:
-                if reason is None and plan is not None:
-                    output = self._run_tuned(request, plan, backend)
-                    source = "tuned"
-                else:
-                    output = self._run_fallback(request)
-                    source = "fallback"
-                    self.telemetry.incr("serve.fallbacks")
-                span.tags["source"] = source
-                response = Response(
-                    request_id=request.id,
-                    routine=request.routine,
-                    output=output,
-                    source=source,
-                    fallback_reason=reason,
-                    batch_size=batch_size,
-                    wait_s=wait_s,
-                    total_s=max(0.0, self.clock() - request.submitted_at),
-                )
+                output = compute()
             except Exception as exc:
-                self._fulfill_error(request, exc, batch_size, started)
-                return
+                self.telemetry.incr("serve.errors")
+                output, source, fallback_reason = None, "error", None
+                error = f"{type(exc).__name__}: {exc}"
+            else:
+                source = "tuned" if fallback_reason is None else "fallback"
+                if fallback_reason is not None:
+                    self.telemetry.incr("serve.fallbacks")
+            span.tags["source"] = source
+            response = Response(
+                request_id=request.id,
+                routine=request.routine,
+                output=output,
+                source=source,
+                fallback_reason=fallback_reason,
+                batch_size=batch_size,
+                wait_s=wait_s,
+                total_s=max(0.0, self.clock() - request.submitted_at),
+                error=error,
+            )
         self._fulfill(response)
 
     def _run_tuned(
@@ -992,30 +978,25 @@ class BlasService:
     def _run_fallback(self, request: Request) -> np.ndarray:
         """Baseline answer: CUBLAS 3.2 behavioural kernel for the modeled
         cost, reference semantics for the functional result."""
-        if request.chained:
-            # chained baseline: every node through the NumPy reference,
-            # back to back — the semantic contract fused plans match
-            with self.telemetry.span(
-                "serve.fallback", routine=request.routine
-            ):
+        with self.telemetry.span("serve.fallback", routine=request.routine) as span:
+            if request.chained:
+                # chained baseline: every node through the NumPy
+                # reference, back to back — the semantic contract fused
+                # plans match
                 out = request.dag.reference(request.arrays)
-                return np.asarray(out, dtype=np.float32)
-        with self.telemetry.span(
-            "serve.fallback", routine=request.routine
-        ) as span:
-            sizes = self._sizes_for(request)
-            n = max(sizes.values())
-            try:
-                run = cublas_kernel(request.routine).profile(self.arch, n)
-                span.tags["model_gflops"] = round(run.gflops, 1)
-            except Exception:
-                span.tags["model_gflops"] = None  # baseline model unavailable
-            out = reference(
-                request.routine,
-                request.arrays,
-                alpha=request.alpha,
-                beta=request.beta,
-            )
+            else:
+                n = max(self._sizes_for(request).values())
+                try:
+                    run = cublas_kernel(request.routine).profile(self.arch, n)
+                    span.tags["model_gflops"] = round(run.gflops, 1)
+                except Exception:
+                    span.tags["model_gflops"] = None  # baseline model unavailable
+                out = reference(
+                    request.routine,
+                    request.arrays,
+                    alpha=request.alpha,
+                    beta=request.beta,
+                )
             return np.asarray(out, dtype=np.float32)
 
     # -- fulfilment ----------------------------------------------------
@@ -1025,19 +1006,22 @@ class BlasService:
         if pending is not None:
             pending.fulfill(response)
 
-    def _fulfill_error(
-        self, request: Request, exc: Exception, batch_size: int, started: float
-    ) -> None:
-        self.telemetry.incr("serve.errors")
-        self._fulfill(
-            Response(
-                request_id=request.id,
-                routine=request.routine,
-                output=None,
-                source="error",
-                batch_size=batch_size,
-                wait_s=max(0.0, started - request.submitted_at),
-                total_s=max(0.0, self.clock() - request.submitted_at),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
+
+def _reraise(exc: Exception) -> np.ndarray:
+    """Compute step of a batch member whose shared step (plan
+    resolution, or the packed launch) failed: answers it with that
+    error."""
+    raise exc
+
+
+def _unpack(
+    packed: np.ndarray, i: int, request: Request, sizes: Mapping[str, int]
+) -> np.ndarray:
+    """Member ``i``'s logical slice of a packed launch, with its own
+    ``alpha``/``beta`` epilogue."""
+    sm, sn = sizes["M"], sizes["N"]
+    result = request.alpha * packed[i, :sm, :sn]
+    c_in = request.arrays.get("C")
+    if c_in is not None and request.beta != 0.0:
+        result = result + request.beta * np.asarray(c_in, dtype=np.float32)[:sm, :sn]
+    return np.asarray(result, dtype=np.float32)

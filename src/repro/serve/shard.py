@@ -170,11 +170,35 @@ class ShardedBlasService:
         self.close()
 
     # -- ingress -------------------------------------------------------
+    def _owner(self, routine: str, sizes: Optional[Mapping[str, int]]) -> int:
+        """The shard owning a call's ``(routine, bucket)``, bucketed with
+        the workers' ``min_bucket`` floor so traffic lands where its plan
+        is keyed and rehydrated.  An unsizable call routes at the floor."""
+        floor = self.options.min_bucket
+        bucket = floor if sizes is None else size_bucket(sizes, floor=floor)
+        return self.router.route(routine, bucket)
+
+    def _admit(
+        self,
+        routine: str,
+        sizes: Optional[Mapping[str, int]],
+        submit: Callable[[BlasService], PendingResult],
+    ) -> PendingResult:
+        """``submit`` to the owner shard, or shed at its high water."""
+        shard = self._owner(routine, sizes)
+        self.telemetry.incr("serve.shard.routed")
+        self.telemetry.incr(f"serve.shard.{shard}.routed")
+        worker = self.workers[shard]
+        depth = worker.queue_depth()
+        if not self.admission.admit(shard, depth):
+            return self._shed(routine, shard, depth)
+        return submit(worker)
+
     def route(
         self, routine: str, sizes: Mapping[str, int]
     ) -> int:
         """The shard a call with these sizes routes to."""
-        return self.router.route(get_spec(routine).name, size_bucket(sizes))
+        return self._owner(get_spec(routine).name, sizes)
 
     def submit(
         self,
@@ -189,22 +213,21 @@ class ShardedBlasService:
         """Route one call to its owner shard (or shed it at the door)."""
         spec = get_spec(routine)
         if sizes is None:
-            sizes = infer_sizes(spec, {k: np.asarray(v) for k, v in arrays.items()})
-        bucket = size_bucket(sizes)
-        shard = self.router.route(spec.name, bucket)
-        self.telemetry.incr("serve.shard.routed")
-        self.telemetry.incr(f"serve.shard.{shard}.routed")
-        worker = self.workers[shard]
-        depth = worker.queue_depth()
-        if not self.admission.admit(shard, depth):
-            return self._shed(spec.name, shard, depth)
-        return worker.submit(
-            routine,
-            alpha=alpha,
-            beta=beta,
-            sizes=sizes,
-            deadline_s=deadline_s,
-            **arrays,
+            try:
+                sizes = infer_sizes(spec, arrays)
+            except (KeyError, IndexError, ValueError):
+                sizes = None  # unsizable: the owner answers the error
+        return self._admit(
+            spec.name,
+            sizes,
+            lambda worker: worker.submit(
+                routine,
+                alpha=alpha,
+                beta=beta,
+                sizes=sizes,
+                deadline_s=deadline_s,
+                **arrays,
+            ),
         )
 
     def submit_dag(
@@ -232,31 +255,11 @@ class ShardedBlasService:
                 deadline_s=deadline_s,
                 **{op: arrays[sym] for op, sym in node.operands.items()},
             )
-        sizes = dag.canonical_sizes(
-            {k: np.asarray(v) for k, v in arrays.items()}
+        return self._admit(
+            dag.routine_key,
+            dag.canonical_sizes(arrays),
+            lambda worker: worker.submit_dag(dag, deadline_s=deadline_s, **arrays),
         )
-        bucket = size_bucket(sizes)
-        shard = self.router.route(dag.routine_key, bucket)
-        self.telemetry.incr("serve.shard.routed")
-        self.telemetry.incr(f"serve.shard.{shard}.routed")
-        worker = self.workers[shard]
-        depth = worker.queue_depth()
-        if not self.admission.admit(shard, depth):
-            return self._shed(dag.routine_key, shard, depth)
-        return worker.submit_dag(dag, deadline_s=deadline_s, **arrays)
-
-    def run_dag(
-        self,
-        dag: "Dag | Expr",
-        *,
-        deadline_s: Optional[float] = None,
-        **arrays: np.ndarray,
-    ) -> np.ndarray:
-        """Submit one DAG request and block for its result array."""
-        pending = self.submit_dag(dag, deadline_s=deadline_s, **arrays)
-        if not pending.done():
-            self.flush()
-        return pending.output()
 
     def _shed(self, routine: str, shard: int, depth: int) -> PendingResult:
         """Instant rejection: a pre-fulfilled future, never enqueued."""
@@ -276,27 +279,19 @@ class ShardedBlasService:
         )
         return pending
 
-    def run(
-        self,
-        routine: str,
-        *,
-        alpha: float = 1.0,
-        beta: float = 1.0,
-        sizes: Optional[Mapping[str, int]] = None,
-        deadline_s: Optional[float] = None,
-        **arrays: np.ndarray,
-    ) -> np.ndarray:
-        """Submit one call and block for its result array."""
-        pending = self.submit(
-            routine,
-            alpha=alpha,
-            beta=beta,
-            sizes=sizes,
-            deadline_s=deadline_s,
-            **arrays,
-        )
+    def run(self, routine: str, **kwargs) -> np.ndarray:
+        """Submit one call (keywords as :meth:`submit`) and block for its
+        result array."""
+        return self._wait(self.submit(routine, **kwargs))
+
+    def run_dag(self, dag: "Dag | Expr", **kwargs) -> np.ndarray:
+        """Submit one DAG request (keywords as :meth:`submit_dag`) and
+        block for its result array."""
+        return self._wait(self.submit_dag(dag, **kwargs))
+
+    def _wait(self, pending: PendingResult) -> np.ndarray:
         if not pending.done():
-            self.flush()
+            self.flush()  # still queued (inline use): drain every shard
         return pending.output()
 
     def flush(self) -> int:
@@ -306,8 +301,9 @@ class ShardedBlasService:
     def warm(self, routine: str, n: int) -> Plan:
         """Pre-tune on the owner shard (where traffic will route)."""
         spec = get_spec(routine)
-        shard = self.router.route(spec.name, size_bucket(spec.make_sizes(n)))
-        return self.workers[shard].warm(routine, n)
+        return self.workers[self._owner(spec.name, spec.make_sizes(n))].warm(
+            routine, n
+        )
 
     def queue_depths(self) -> List[int]:
         """Current queue depth per shard (the admission signal)."""
@@ -317,12 +313,9 @@ class ShardedBlasService:
         """Tier snapshot: shared counters + per-shard table/queue state."""
         per_shard = []
         for worker in self.workers:
-            with worker._lock:
-                depth = len(worker._batcher)
-                peak = worker._batcher.peak_depth
+            state = worker.stats()
             per_shard.append(
-                {"plans": len(worker.table), "queue_depth": depth,
-                 "peak_queue_depth": peak}
+                {key: state[key] for key in ("plans", "queue_depth", "peak_queue_depth")}
             )
         return {
             "shards": self.shards,
@@ -340,21 +333,11 @@ class ShardedBlasService:
         its own ring ownership, so the same snapshot serves 1 shard or
         8.  Returns the number of plans stored.
         """
-        cache = self.workers[0]._snapshot_cache()
-        if cache is None:
-            return 0
-        records: List[Dict] = []
-        seen = set()
+        records: Dict = {}
         for worker in self.workers:
             for record in worker.plan_records():
-                key = (record["routine"], record["bucket"])
-                if key in seen:
-                    continue
-                seen.add(key)
-                records.append(record)
-        cache.store_plan_snapshot(self.arch, tag, records)
-        self.telemetry.incr("serve.snapshot.stored", len(records))
-        return len(records)
+                records.setdefault((record["routine"], record["bucket"]), record)
+        return self.workers[0]._store_snapshot(tag, list(records.values()))
 
     def rehydrate_plans(self, tag: str = "serve") -> int:
         """Each shard loads the keys it owns from the shared snapshot.

@@ -137,6 +137,78 @@ class TestPackedService:
         service = make_service()
         assert service._batcher.pack is False
 
+    def test_expired_member_falls_back_and_the_rest_pack(self):
+        ticks = [0.0]
+        service = BlasService(
+            GTX_285,
+            options=ServeOptions(pack_requests=True),
+            tuning=TuningOptions(space=SMALL_SPACE),
+            telemetry=Telemetry(),
+            clock=lambda: ticks[0],
+        )
+        service.warm("BGEMM-NN", 16)  # deadline-bound probes hit the table
+        shapes = [(9, 12, 10), (12, 9, 9), (16, 9, 9), (10, 16, 12)]
+        cases = []
+        for i, (m, n, k) in enumerate(shapes):
+            ticks[0] = 0.0 if i == 0 else 10.0  # only the head's budget runs out
+            inputs = random_inputs("GEMM-NN", {"M": m, "N": n, "K": k}, seed=i)
+            want = reference("GEMM-NN", inputs, alpha=2.0, beta=0.5)
+            pending = service.submit(
+                "GEMM-NN", alpha=2.0, beta=0.5, deadline_s=1.0, **inputs
+            )
+            cases.append((pending, want))
+        ticks[0] = 10.5
+        service.flush()
+        responses = [pending.result() for pending, _want in cases]
+        assert responses[0].source == "fallback"
+        assert responses[0].fallback_reason == "deadline"
+        assert [r.source for r in responses[1:]] == ["tuned"] * 3
+        assert all(r.batch_size == len(shapes) for r in responses)
+        for response, (_pending, want) in zip(responses, cases):
+            np.testing.assert_allclose(response.output, want, rtol=3e-3, atol=3e-3)
+        counters = service.telemetry.metrics.snapshot()
+        assert counters["serve.packed"] == len(shapes) - 1
+        assert counters["serve.deadline_misses"] == 1
+        assert counters["serve.fallbacks"] == 1
+
+    def test_failing_packed_launch_answers_every_member_once(self, monkeypatch):
+        service = make_service(pack_requests=True)
+        plan = service.warm("BGEMM-NN", 16)
+
+        def fault(*args, **kwargs):
+            raise RuntimeError("injected kernel fault")
+
+        monkeypatch.setattr(plan.tuned, "_execute", fault)
+        answered = []
+        fulfill = service._fulfill
+
+        def counting(response):
+            answered.append(response.request_id)
+            fulfill(response)
+
+        monkeypatch.setattr(service, "_fulfill", counting)
+        shapes = [(9, 12, 10), (12, 9, 9), (16, 9, 9), (10, 16, 12)]
+        pendings = [
+            service.submit(
+                "GEMM-NN",
+                **random_inputs("GEMM-NN", {"M": m, "N": n, "K": k}, seed=i),
+            )
+            for i, (m, n, k) in enumerate(shapes)
+        ]
+        with service:  # queued before start: one batch, one packed launch
+            for pending in pendings:
+                response = pending.response(timeout=60)
+                assert response.source == "error"
+                assert "injected kernel fault" in response.error
+            # the dispatcher survived the fault: a lone call still serves
+            inputs = random_inputs("GEMM-NN", {"M": 16, "N": 16, "K": 16}, seed=9)
+            lone = service.submit("GEMM-NN", **inputs)
+            assert lone.result(timeout=60).source == "tuned"
+        assert sorted(answered) == sorted(p.request_id for p in pendings + [lone])
+        counters = service.telemetry.metrics.snapshot()
+        assert counters["serve.errors"] == len(shapes)
+        assert counters.get("serve.packed") is None
+
     def test_pack_decline_splits_heterogeneous_batch(self, monkeypatch):
         # If the packed attempt declines (e.g. no BGEMM plan resolves),
         # a batch holding pack-tier riders must split back into exact

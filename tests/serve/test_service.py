@@ -252,6 +252,23 @@ class TestTelemetry:
         assert all(sp.tags["source"] == "tuned" for sp in requests)
         assert len(service.telemetry.find("serve.tune")) == 1
 
+    def test_one_request_span_per_answer_on_every_path(self):
+        # tuned, no-plan fallback and error answers all come from one
+        # answer site: one serve.request span each, tagged with its source
+        service = make_service()
+        inputs = random_inputs("GEMM-NN", GEMM_SIZES, seed=24)
+        service.submit("GEMM-NN", **inputs)
+        symm = random_inputs("SYMM-LL", {"M": 32, "N": 32}, seed=25)
+        service.submit("SYMM-LL", deadline_s=1e-6, **symm)  # cold: no-plan
+        service.submit("GEMM-NN", A=inputs["A"])  # under-bound
+        service.flush()
+        requests = service.telemetry.find("serve.request")
+        assert sorted(sp.tags["source"] for sp in requests) == [
+            "error", "fallback", "tuned"
+        ]
+        counters = service.telemetry.metrics.snapshot()
+        assert counters["serve.errors"] == counters["serve.fallbacks"] == 1
+
     def test_stats_snapshot(self):
         service = make_service()
         inputs = random_inputs("GEMM-NN", GEMM_SIZES, seed=23)

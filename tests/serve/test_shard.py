@@ -177,7 +177,46 @@ class TestShardedService:
         tier.flush()
 
 
+    def test_unsizable_call_is_answered_by_its_owner(self):
+        """An under-bound call (no ``B``) cannot be sized at the door.
+        Like ``BlasService.submit``, the tier queues it — routed at the
+        floor bucket — and the owner answers ``source="error"``."""
+        tier = make_tier(2)
+        a = np.zeros((8, 8), np.float32)
+        pending = tier.submit("GEMM-NN", A=a)
+        tier.flush()
+        response = pending.response()
+        assert response.source == "error"
+        assert response.request_id > 0  # a worker's request, not a shed
+        owner = tier.router.route("GEMM-NN", tier.options.min_bucket)
+        assert tier.telemetry.count(f"serve.shard.{owner}.routed") == 1
+        assert tier.telemetry.count("serve.errors") == 1
+
+
 class TestSnapshotRehydration:
+    def test_rehydrated_sub16_plan_lands_where_traffic_routes(self, tmp_path):
+        """With ``min_bucket=4`` an N=8 call keys bucket 8.  Routing
+        must bucket with the same floor as the workers, or the plan is
+        rehydrated onto bucket 8's owner while traffic goes to bucket
+        16's — and the restarted tier re-tunes."""
+        sizes = {"M": 8, "N": 8, "K": 8}
+        inputs = random_inputs("GEMM-NN", sizes, seed=50)
+        tier = make_tier(2, tmp_path, min_bucket=4)
+        tier.run("GEMM-NN", **inputs)
+        assert tier.snapshot_plans("sub16") == 1
+
+        fresh = make_tier(2, tmp_path, min_bucket=4)
+        assert fresh.rehydrate_plans("sub16") == 1
+        got = fresh.run("GEMM-NN", **inputs)
+        np.testing.assert_allclose(
+            got, reference("GEMM-NN", inputs), rtol=3e-3, atol=3e-3
+        )
+        owner = fresh.route("GEMM-NN", sizes)
+        assert ("GEMM-NN", GTX_285.name, 8) in fresh.workers[owner].table
+        assert fresh.telemetry.count("serve.tuned") == 0
+        assert fresh.telemetry.count("serve.plan.hit") == 1
+        assert fresh.telemetry.count("serve.plan.miss") == 0
+
     def test_roundtrip_into_a_resized_tier(self, tmp_path):
         tier = make_tier(2, tmp_path)
         inputs = random_inputs("GEMM-NN", GEMM_SIZES, seed=47)

@@ -188,6 +188,33 @@ class TestServeCli:
         # window: 2 admitted, the rest rejected at the door
         assert "shed 6" in out
 
+    def test_serve_pack_coalesces_one_launch(self, capsys, tmp_path):
+        # eight small GEMM calls pad into one strided-batched launch
+        assert (
+            main(
+                [
+                    "serve",
+                    "--routines",
+                    "GEMM-NN",
+                    "--requests",
+                    "8",
+                    "-n",
+                    "12",
+                    "--pack",
+                    "--min-bucket",
+                    "4",
+                    "--jobs",
+                    "1",
+                    "--cache-dir",
+                    str(tmp_path),
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "served 8 requests" in out
+        assert "launches 1  mean batch 8.00" in out
+
     def test_serve_fuse_mixes_dag_requests(self, capsys, tmp_path):
         assert (
             main(
