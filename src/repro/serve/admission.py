@@ -29,7 +29,7 @@ class AdmissionController:
 
     ``high_water`` is the per-shard queue depth at which new requests
     are rejected; ``None`` admits everything (the controller becomes a
-    pass-through that still counts admissions).
+    pass-through that still records the depths it judges).
     """
 
     def __init__(
@@ -41,15 +41,16 @@ class AdmissionController:
             raise ValueError("admission high_water must be >= 1 (or None)")
         self.high_water = high_water
         self.telemetry = ensure_telemetry(telemetry)
-        self.admitted = 0
+        #: deepest queue an arrival has met (the replay's depth gauge)
+        self.peak_depth = 0
         self.shed = 0
 
     def admit(self, shard_index: int, queue_depth: int) -> bool:
         """Whether a request may enter the shard's queue at this depth."""
+        self.peak_depth = max(self.peak_depth, queue_depth)
         if self.high_water is not None and queue_depth >= self.high_water:
             self.shed += 1
             self.telemetry.incr("serve.shed")
             self.telemetry.incr(f"serve.shard.{shard_index}.shed")
             return False
-        self.admitted += 1
         return True

@@ -16,7 +16,7 @@ pure data structure guarded by the service's lock.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from .request import Request
 
@@ -53,20 +53,7 @@ class MicroBatcher:
 
     def matching_head(self) -> int:
         """How many queued requests would join the head's batch now."""
-        if not self._queue:
-            return 0
-        key = self._queue[0].group_key()
-        count = sum(1 for r in self._queue if r.group_key() == key)
-        if self.pack:
-            pkey = self._queue[0].pack_key()
-            if pkey is not None:
-                count += sum(
-                    1
-                    for r in self._queue
-                    if r.group_key() != key
-                    and r.pack_key() == pkey
-                )
-        return count
+        return len(self._form()[0])
 
     def next_batch(self) -> List[Request]:
         """Extract the head request's group, preserving queue order.
@@ -74,28 +61,32 @@ class MicroBatcher:
         Pack mode then tops an under-full batch up with shape-class
         riders (see class docstring), again in queue order.
         """
-        if not self._queue:
-            return []
-        key = self._queue[0].group_key()
+        batch, self._queue = self._form()
+        return batch
+
+    def _form(self) -> Tuple[List[Request], List[Request]]:
+        """The head's batch and the requests it leaves queued."""
         batch: List[Request] = []
-        rest: List[Request] = []
-        for request in self._queue:
-            if len(batch) < self.max_batch and request.group_key() == key:
-                batch.append(request)
-            else:
-                rest.append(request)
+        if not self._queue:
+            return batch, []
+        rest = self._take(
+            self._queue, batch, Request.group_key, self._queue[0].group_key()
+        )
         if self.pack and len(batch) < self.max_batch:
             pkey = batch[0].pack_key()
             if pkey is not None:
-                keep: List[Request] = []
-                for request in rest:
-                    if (
-                        len(batch) < self.max_batch
-                        and request.pack_key() == pkey
-                    ):
-                        batch.append(request)
-                    else:
-                        keep.append(request)
-                rest = keep
-        self._queue = rest
-        return batch
+                rest = self._take(rest, batch, Request.pack_key, pkey)
+        return batch, rest
+
+    def _take(self, queue, batch, key_of, key) -> List[Request]:
+        """Move the queued requests whose ``key_of(request) == key`` into
+        ``batch`` until it is full; returns the rest in queue order."""
+        rest: List[Request] = []
+        for index, request in enumerate(queue):
+            if len(batch) == self.max_batch:
+                return rest + queue[index:]
+            if key_of(request) == key:
+                batch.append(request)
+            else:
+                rest.append(request)
+        return rest

@@ -379,13 +379,18 @@ class BlasService:
     def flush(self) -> int:
         """Drain the queue on the caller's thread; returns launches run."""
         launches = 0
-        while True:
-            with self._lock:
-                batch = self._batcher.next_batch()
-            if not batch:
-                return launches
-            self._execute_batch(batch)
+        while self._launch_next():
             launches += 1
+        return launches
+
+    def _launch_next(self) -> bool:
+        """Run the queue head's batch on the caller's thread; False when
+        the queue is empty."""
+        with self._lock:
+            batch = self._batcher.next_batch()
+        if batch:
+            self._execute_batch(batch)
+        return bool(batch)
 
     def stats(self) -> Dict:
         """Service-level snapshot: counters + table/queue state."""
@@ -533,9 +538,7 @@ class BlasService:
                         return
                     continue
                 self._await_company(self.clock() + self.options.batch_window_s)
-                batch = self._batcher.next_batch()
-            if batch:
-                self._execute_batch(batch)
+            self._launch_next()
 
     def _await_company(self, window_until: float) -> None:
         """Hold the head request until ``window_until`` (or a full batch).

@@ -117,6 +117,8 @@ class ShardedBlasService:
     key space they own.
     """
 
+    _worker_type = BlasService  # the traffic replay swaps in a modeled worker
+
     def __init__(
         self,
         arch: GPUArch = GTX_285,
@@ -138,7 +140,7 @@ class ShardedBlasService:
             self.options.shed_high_water, telemetry=self.telemetry
         )
         self.workers: List[BlasService] = [
-            BlasService(
+            self._worker_type(
                 arch,
                 options=self.options,
                 tuning=self.tuning,

@@ -1,26 +1,22 @@
-"""Traffic synthesis and virtual-time replay for the sharded tier.
+"""Traffic synthesis and virtual-time replay: the live tier on a virtual clock.
 
 Proving "4 shards sustain ≥2× the QPS of 1" with wall-clock threads is
 impossible on this substrate: the simulated GPU is pure Python/NumPy, so
 every shard's "kernel" contends for one interpreter lock and thread-level
 scaling measures the GIL, not the architecture.  This module measures
 the architecture instead, the way queueing studies do — discrete-event
-simulation in *virtual time* over the tier's **real control plane**:
+simulation in *virtual time* — and :func:`replay` runs the live tier on
+a virtual clock.  A real :class:`~repro.serve.shard.ShardedBlasService`
+routes, admits or sheds, queues, resolves plans (lookup, tune or
+degrade), judges deadlines and answers, so every decision and every
+counter is the production one.
 
-* routing goes through a real :class:`~repro.serve.shard.ShardRouter`;
-* admission goes through a real
-  :class:`~repro.serve.admission.AdmissionController` fed the simulated
-  queue depth (so ``serve.shed`` counters are the production counters);
-* plan residency goes through real per-shard
-  :class:`~repro.serve.dispatch.DispatchTable` instances (real LRU,
-  real hit/miss/evict counters), cold keys paying a tune once on their
-  owner shard exactly as the live tier does.
-
-Only the *durations* are modeled: kernel time from the arithmetic
-intensity of the routine at its size (``2·n³ / modeled-GFLOP/s``), plus
-a fixed per-request dispatch overhead and a fixed cold-tune cost — both
-defaulted from the measured ``BENCH_serve.json`` orders of magnitude and
-overridable from measurements.
+Only the *durations* are modeled (:class:`ServiceModel`): kernel time
+from the arithmetic intensity of the routine at its size
+(``2·n³ / modeled-GFLOP/s``), plus a fixed per-request dispatch overhead
+and a fixed cold-tune cost — both defaulted from the measured
+``BENCH_serve.json`` orders of magnitude and overridable from
+measurements.
 
 Trace shape follows serving reality: Poisson arrivals (exponential
 inter-arrival gaps at ``rate_qps``), a heavy-tailed size mix (Zipf over
@@ -32,16 +28,18 @@ byte-identical reports in CI smoke mode and full runs alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partialmethod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..blas3.routines import get_spec
 from ..gpu.arch import GPUArch, GTX_285
-from ..telemetry import Telemetry, ensure_telemetry
-from .admission import AdmissionController
-from .dispatch import DispatchTable, Plan, PlanKey, size_bucket
-from .shard import ShardRouter
+from ..telemetry import Telemetry
+from .request import Request
+from .service import BlasService, ServeOptions
+from .shard import ShardedBlasService
 
 __all__ = [
     "TrafficProfile",
@@ -134,14 +132,6 @@ class ServiceModel:
         return (2.0 * float(n) ** 3) / (gflops * 1e9)
 
 
-class _ModeledRoutine:
-    """Stands in for a TunedRoutine inside the replay's real tables."""
-
-    def __init__(self, routine: str, bucket: int):
-        self.name = routine
-        self.bucket = bucket
-
-
 @dataclass
 class ReplayReport:
     """What one replay scenario measured."""
@@ -163,23 +153,13 @@ class ReplayReport:
     per_shard_completed: List[int] = field(default_factory=list)
 
     def to_record(self) -> Dict:
-        return {
-            "shards": self.shards,
-            "shed_high_water": self.shed_high_water,
-            "offered": self.offered,
-            "offered_qps": round(self.offered_qps, 1),
-            "completed": self.completed,
-            "shed": self.shed,
-            "fallbacks": self.fallbacks,
-            "tunes": self.tunes,
-            "sustained_qps": round(self.sustained_qps, 1),
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-            "max_ms": round(self.max_ms, 3),
-            "makespan_s": round(self.makespan_s, 4),
-            "max_queue_depth": self.max_queue_depth,
-            "per_shard_completed": self.per_shard_completed,
-        }
+        record = asdict(self)
+        for name in ("offered_qps", "sustained_qps"):
+            record[name] = round(record[name], 1)
+        for name in ("p50_ms", "p99_ms", "max_ms"):
+            record[name] = round(record[name], 3)
+        record["makespan_s"] = round(self.makespan_s, 4)
+        return record
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -187,6 +167,65 @@ def _percentile(sorted_values: List[float], q: float) -> float:
         return 0.0
     index = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
     return sorted_values[index]
+
+
+@dataclass
+class _VirtualClock:
+    """Virtual time: the current step's origin plus the modeled durations
+    charged to it so far."""
+
+    model: ServiceModel
+    origin: float = 0.0
+    charged: float = 0.0
+
+    def __call__(self) -> float:
+        return self.origin + self.charged
+
+    def restart(self, origin: float) -> None:
+        self.origin, self.charged = origin, 0.0
+
+
+class _ModeledWorker(BlasService):
+    """A live shard worker, and the stand-in for its buckets' generators,
+    whose tune and compute steps take modeled time.  Each is one FIFO
+    server: a launch starts once the previous one and its head request
+    are both in."""
+
+    busy_until = 0.0
+    completed = tunes = 0
+
+    def _execute_batch(self, batch: List[Request]) -> None:
+        self.clock.restart(max(self.busy_until, batch[0].submitted_at))
+        super()._execute_batch(batch)
+        self.busy_until = self.clock()
+        self.completed += len(batch)
+
+    def _generator_for(self, bucket: int) -> "_ModeledWorker":
+        return self
+
+    def has_cached(self, routine: str) -> bool:
+        return False
+
+    def predict(self, routine: str) -> None:
+        return None  # no cost model: a cold deadline-bound call degrades
+
+    def generate(self, routine: str) -> str:
+        self.clock.charged += self.clock.model.tune_cost_s
+        self.tunes += 1
+        return routine  # a modeled plan runs no kernel
+
+    def _run_tuned(
+        self, request: Request, plan=None, backend=None, fallback: bool = False
+    ) -> None:
+        model = self.clock.model  # charged as overhead + (tune) + kernel
+        kernel_s = model.kernel_time(max(request.sizes.values()), fallback=fallback)
+        self.clock.charged = model.overhead_s + self.clock.charged + kernel_s
+
+    _run_fallback = partialmethod(_run_tuned, fallback=True)
+
+
+class _ModeledTier(ShardedBlasService):
+    _worker_type = _ModeledWorker
 
 
 def replay(
@@ -200,101 +239,58 @@ def replay(
     prewarmed: bool = False,
     telemetry: Optional[Telemetry] = None,
 ) -> ReplayReport:
-    """Replay a trace through the real control plane in virtual time.
+    """Replay a trace through the live sharded tier in virtual time.
 
-    Each shard is one FIFO server (the dispatcher thread serializes
-    launches); arrivals route via the real ring, are admitted or shed by
-    the real controller against the simulated backlog, and probe a real
-    per-shard :class:`DispatchTable`.  ``prewarmed=True`` starts every
-    ``(routine, bucket)`` key resident on its owner shard — the
-    rehydrated-tier scenario; otherwise each key's first admitted
-    arrival pays ``model.tune_cost_s`` on its owner, exactly once.
-
-    Deadline-carrying arrivals that meet a cold table entry degrade to
-    the fallback (they cannot afford the tune — the live service's
-    "no-plan" path) instead of paying it.
+    Before each arrival, every shard launches its queued requests that
+    start by then, one per launch.  ``prewarmed=True`` starts every key
+    resident on its owner shard (the rehydrated-tier scenario).  A
+    deadline-carrying request degrades to the fallback when its plan is
+    cold or its budget ran out in the queue, as in the live tier.
     """
-    model = model or ServiceModel()
-    telemetry = ensure_telemetry(telemetry)
-    router = ShardRouter(shards)
-    admission = AdmissionController(shed_high_water, telemetry=telemetry)
-    tables = [DispatchTable(hot_plans, telemetry=telemetry) for _ in range(shards)]
+    clock = _VirtualClock(model or ServiceModel())
+    options = ServeOptions(
+        max_batch=1, hot_plans=hot_plans, shed_high_water=shed_high_water
+    )
+    tier = _ModeledTier(arch, shards, options=options, telemetry=telemetry, clock=clock)
+    if prewarmed:  # an uncounted twin warms every key; each shard takes its plans
+        twin_clock = _VirtualClock(clock.model)
+        twin = _ModeledTier(arch, shards, options=options, clock=twin_clock)
+        for routine, n in dict.fromkeys((event.routine, event.n) for event in trace):
+            twin.warm(routine, n)
+        for source, worker in zip(twin.workers, tier.workers):
+            for plan in source.table.plans():
+                worker.table.insert(plan)
 
-    def key_for(event: TrafficEvent) -> PlanKey:
-        return (event.routine, arch.name, size_bucket({"n": event.n}))
-
-    if prewarmed:
-        for event in trace:
-            key = key_for(event)
-            owner = router.route(key[0], key[2])
-            if key not in tables[owner]:
-                tables[owner].insert(Plan(key, _ModeledRoutine(key[0], key[2])))
-
-    #: virtual time each shard's server frees up
-    busy_until = [0.0] * shards
-    #: start times of queued-but-unstarted work, per shard (for depth)
-    queued: List[List[float]] = [[] for _ in range(shards)]
-
-    latencies: List[float] = []
-    per_shard_completed = [0] * shards
-    shed = fallbacks = tunes = 0
-    max_depth = 0
-    last_finish = 0.0
-
+    pending = []
     for event in trace:
-        key = key_for(event)
-        shard = router.route(key[0], key[2])
-        telemetry.incr("serve.shard.routed")
-        starts = queued[shard]
-        while starts and starts[0] <= event.at:
-            starts.pop(0)
-        depth = len(starts)
-        max_depth = max(max_depth, depth)
-        if not admission.admit(shard, depth):
-            shed += 1
-            continue
+        for worker in tier.workers:
+            while worker.busy_until <= event.at and worker._launch_next():
+                pass
+        clock.restart(event.at)
+        sizes = get_spec(event.routine).make_sizes(event.n)
+        deadline_s = event.deadline_s
+        pending.append(tier.submit(event.routine, sizes=sizes, deadline_s=deadline_s))
+    tier.flush()
 
-        start = max(event.at, busy_until[shard])
-        plan = tables[shard].lookup(key)
-        if plan is not None:
-            service_s = model.overhead_s + model.kernel_time(event.n)
-        elif event.deadline_s is not None:
-            # cold + deadline: the live tier degrades rather than tunes
-            service_s = model.overhead_s + model.kernel_time(event.n, fallback=True)
-            fallbacks += 1
-            telemetry.incr("serve.fallbacks")
-        else:
-            service_s = (
-                model.overhead_s + model.tune_cost_s + model.kernel_time(event.n)
-            )
-            tunes += 1
-            telemetry.incr("serve.tuned")
-            tables[shard].insert(Plan(key, _ModeledRoutine(key[0], key[2])))
-
-        finish = start + service_s
-        busy_until[shard] = finish
-        starts.append(start)
-        latencies.append(finish - event.at)
-        per_shard_completed[shard] += 1
-        last_finish = max(last_finish, finish)
-
-    latencies.sort()
-    makespan = last_finish if last_finish > 0 else 1e-9
+    # result() raises if the live path answered any request with an error
+    served = [p.result() for p in pending if p.response().source != "shed"]
+    latencies = sorted(response.total_s for response in served)
+    makespan = max(worker.busy_until for worker in tier.workers) or 1e-9
     duration = trace[-1].at if trace else 1e-9
     return ReplayReport(
         shards=shards,
         shed_high_water=shed_high_water,
         offered=len(trace),
         offered_qps=len(trace) / max(duration, 1e-9),
-        completed=len(latencies),
-        shed=shed,
-        fallbacks=fallbacks,
-        tunes=tunes,
-        sustained_qps=len(latencies) / makespan,
+        completed=len(served),
+        shed=len(trace) - len(served),
+        fallbacks=sum(response.source == "fallback" for response in served),
+        tunes=sum(worker.tunes for worker in tier.workers),
+        sustained_qps=len(served) / makespan,
         p50_ms=_percentile(latencies, 0.50) * 1e3,
         p99_ms=_percentile(latencies, 0.99) * 1e3,
         max_ms=(latencies[-1] * 1e3) if latencies else 0.0,
         makespan_s=makespan,
-        max_queue_depth=max_depth,
-        per_shard_completed=per_shard_completed,
+        max_queue_depth=tier.admission.peak_depth,
+        per_shard_completed=[worker.completed for worker in tier.workers],
     )

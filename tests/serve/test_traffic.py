@@ -1,10 +1,15 @@
 """Traffic synthesis and virtual-time replay (the scaling benchmark's engine)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.blas3.routines import get_spec
+from repro.serve import ShardedBlasService
 from repro.serve.traffic import (
     ReplayReport,
     ServiceModel,
+    TrafficEvent,
     TrafficProfile,
     replay,
     synthesize_trace,
@@ -132,3 +137,57 @@ class TestReplay:
         assert isinstance(report, ReplayReport)
         assert report.completed == report.offered == 0
         assert report.p99_ms == 0.0
+
+    def test_deadline_expired_in_the_queue_degrades_to_fallback(self):
+        """A warm request whose budget runs out behind another is answered
+        from the baseline, as the live tier answers it."""
+        trace = [
+            TrafficEvent(at=0.0, routine="GEMM-NN", n=512),
+            TrafficEvent(at=0.0001, routine="GEMM-NN", n=512, deadline_s=0.001),
+        ]
+        model = ServiceModel()
+        # the second waits ~1.1 ms behind the first's ~1.2 ms service time
+        assert model.overhead_s + model.kernel_time(512) - 0.0001 > 0.001
+        telemetry = Telemetry()
+        report = replay(trace, shards=1, prewarmed=True, telemetry=telemetry)
+        assert report.completed == 2
+        assert report.tunes == 0
+        assert report.fallbacks == 1
+        assert telemetry.count("serve.deadline_misses") == 1
+        assert telemetry.count("serve.fallbacks") == 1
+
+    @pytest.mark.parametrize("prewarmed", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_requests_complete_on_the_shard_the_tier_routes_them_to(
+        self, shards, prewarmed
+    ):
+        trace = synthesize_trace(PROFILE)
+        report = replay(trace, shards=shards, prewarmed=prewarmed)
+        tier = ShardedBlasService(shards=shards)
+        routed = Counter(
+            tier.route(e.routine, get_spec(e.routine).make_sizes(e.n))
+            for e in trace
+        )
+        assert report.per_shard_completed == [routed[s] for s in range(shards)]
+
+    def test_only_durations_are_modeled(self, monkeypatch):
+        """No generator is built and no kernel runs: the tune and compute
+        steps are the only substitutions."""
+        import repro.composer.oracle
+        import repro.gpu.simulator
+        import repro.jit
+        import repro.jit.registry
+        import repro.tuner.chain
+        from repro.tuner.library import LibraryGenerator
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the replay must not tune or execute")
+
+        monkeypatch.setattr(LibraryGenerator, "__init__", forbidden)
+        for module in (repro.jit, repro.jit.registry):
+            monkeypatch.setattr(module, "execute", forbidden)
+        for module in (repro.gpu.simulator, repro.tuner.chain, repro.composer.oracle):
+            monkeypatch.setattr(module, "jit_execute", forbidden)
+        report = replay(synthesize_trace(PROFILE), shards=2)
+        assert report.tunes > 0
+        assert report.completed == report.offered
