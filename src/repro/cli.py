@@ -164,6 +164,16 @@ def _finish_trace(oa: OAFramework, args) -> None:
         print(f"// trace written to {path}", file=sys.stderr)
 
 
+def _routine_name(text: str) -> str:
+    """argparse ``type`` for a variant name: an unknown one is a usage
+    error (``error: ...``, exit status 2), not a traceback."""
+    try:
+        get_spec(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -182,7 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("candidates", "show the composer's candidate scripts"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("routine", help="variant name, e.g. SYMM-LL or TRSM-LL-N")
+        p.add_argument(
+            "routine", type=_routine_name, help="variant name, e.g. SYMM-LL or TRSM-LL-N"
+        )
         _add_common(p)
         if name != "candidates":
             _add_tuning(p)
@@ -239,6 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--routines",
         nargs="+",
+        type=_routine_name,
         default=["GEMM-NN", "SYMM-LL"],
         metavar="NAME",
         help="variants the stream cycles through (default: GEMM-NN SYMM-LL)",
@@ -323,6 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--routines",
         nargs="+",
+        type=_routine_name,
         default=None,
         metavar="NAME",
         help="subset of variants to tune (default: all 24)",

@@ -6,12 +6,13 @@ tool".  This module plays that role for our IR with two layers:
 
 * a fast symbolic **GCD test** that can prove independence of a pair of
   affine references, and
-* an **exhaustive small-domain checker** that executes the nest on small
-  symbolic sizes and extracts the exact dependence set with direction
+* an **exhaustive small-domain checker** that traces the nest on small
+  concrete sizes and extracts the exact dependence set with direction
   vectors — the oracle the legality predicates are built on.  BLAS3 nests
   are tiny, so exhaustive extraction at sizes ~6–8 is exact for the
   dependence *patterns* (constant-distance and direction information does
-  not change with the sizes involved here).
+  not change with the sizes involved here).  The trace runs on NumPy
+  integer arrays, one row per statement instance or access.
 
 The auto-tuner translates every composed script under every tuning
 config, and the legality checks see the same handful of loop nests
@@ -28,9 +29,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .affine import AffineExpr
+import numpy as np
+
+from .affine import AffineExpr, MaxExpr, MinExpr
 from .ast import Assign, ArrayRef, Barrier, Guard, Loop, Node
 from .fingerprint import UnsupportedIR, encode_body
 
@@ -160,87 +164,8 @@ def may_alias(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive small-domain dependence extraction
+# The memoized oracle
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Access:
-    time: int
-    stmt_index: int
-    itervec: Tuple[Tuple[str, int], ...]  # (loop var, value) outermost first
-    is_write: bool
-
-
-def _collect_statements(body: Sequence[Node]) -> List[Assign]:
-    out: List[Assign] = []
-
-    def rec(nodes: Sequence[Node]) -> None:
-        for node in nodes:
-            if isinstance(node, Assign):
-                out.append(node)
-            elif isinstance(node, Loop):
-                rec(node.body)
-            elif isinstance(node, Guard):
-                rec(node.body)
-                rec(node.else_body)
-
-    rec(body)
-    return out
-
-
-def _trace(
-    body: Sequence[Node],
-    env: Dict[str, int],
-    loops: Tuple[Tuple[str, int], ...],
-    stmt_ids: Dict[int, int],
-    accesses: Dict[Tuple[str, Tuple[int, ...]], List[_Access]],
-    clock: List[int],
-) -> None:
-    for node in body:
-        if isinstance(node, Assign):
-            stmt_index = stmt_ids[id(node)]
-            time = clock[0]
-            clock[0] += 1
-            for is_write, refs in ((False, node.reads()), (True, node.writes())):
-                for ref_ in refs:
-                    cell = (ref_.array, tuple(i.evaluate(env) for i in ref_.indices))
-                    accesses.setdefault(cell, []).append(
-                        _Access(time, stmt_index, loops, is_write)
-                    )
-        elif isinstance(node, Loop):
-            lo = node.lower.evaluate(env)
-            hi = node.upper.evaluate(env)
-            for value in range(lo, hi, node.step):
-                env[node.var] = value
-                _trace(
-                    node.body,
-                    env,
-                    loops + ((node.var, value),),
-                    stmt_ids,
-                    accesses,
-                    clock,
-                )
-            env.pop(node.var, None)
-        elif isinstance(node, Guard):
-            # Guards are control flow the dependence test must be
-            # conservative about: trace both branches.
-            _trace(node.body, env, loops, stmt_ids, accesses, clock)
-            _trace(node.else_body, env, loops, stmt_ids, accesses, clock)
-        elif isinstance(node, Barrier):
-            continue
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"cannot trace node {node!r}")
-
-
-def _direction(src: _Access, dst: _Access) -> Tuple[str, ...]:
-    common: List[str] = []
-    src_map = dict(src.itervec)
-    for var_name, dst_val in dst.itervec:
-        if var_name in src_map:
-            src_val = src_map[var_name]
-            common.append("<" if src_val < dst_val else ("=" if src_val == dst_val else ">"))
-    return tuple(common)
 
 
 # structural body encoding x sorted sizes x default_size -> dependence set
@@ -281,51 +206,272 @@ def analyze_dependences(
     return list(deps)
 
 
+# ---------------------------------------------------------------------------
+# Exhaustive small-domain dependence extraction
+# ---------------------------------------------------------------------------
+#
+# The trace is array-shaped end to end.  Each statement's instances are
+# enumerated one loop level at a time as integer columns (one row per
+# instance), every reference evaluates to one cell-id column, and one
+# lexsort puts the instances in execution order.  Sorting the accesses
+# by (cell, time, reads before the write) makes each cell's accesses one
+# contiguous run; the pairs of a run that contain a write are expanded a
+# chunk at a time and classified with array ops, and only the distinct
+# (reference pair, direction) rows ever become Python objects.  The
+# result is exactly what tracing one instance at a time would give.
+
+# Direction digits 0, 1, 2 name "<", "=", ">"; digit 3 marks a
+# destination loop the source lacks.  Packed base 4 into an int64, one
+# digit per loop: nests up to 31 deep.
+_SYMBOLS = "<=>"
+_PAIR_CHUNK = 1 << 12  # pairs classified per batch, bounding the transient arrays
+
+
+@dataclass
+class _Block:
+    """The instances of one statement: ``n`` rows in a shared scope."""
+
+    stmt: Assign
+    n: int
+    keys: List  # order-key columns: ints (shared by all rows) or arrays
+    loops: List[Tuple[str, np.ndarray]]  # enclosing loops, outermost first
+    scope: Dict  # name -> int (symbol) or array (loop variable)
+
+
+def _collect_statements(body: Sequence[Node]) -> List[Assign]:
+    out: List[Assign] = []
+
+    def rec(nodes: Sequence[Node]) -> None:
+        for node in nodes:
+            if isinstance(node, Assign):
+                out.append(node)
+            elif isinstance(node, Loop):
+                rec(node.body)
+            elif isinstance(node, Guard):
+                rec(node.body)
+                rec(node.else_body)
+
+    rec(body)
+    return out
+
+
+def _evaluate(bound, scope: Mapping, n: int) -> np.ndarray:
+    """``bound`` (affine, min or max) at each of ``n`` rows."""
+    if isinstance(bound, (MinExpr, MaxExpr)):
+        pick = np.minimum if isinstance(bound, MinExpr) else np.maximum
+        return reduce(pick, (_evaluate(o, scope, n) for o in bound.operands))
+    total = np.full(n, bound.offset, dtype=np.int64)
+    for name, coeff in bound.terms.items():
+        try:
+            total += coeff * scope[name]
+        except KeyError:
+            raise KeyError(f"unbound variable {name!r} while evaluating {bound}") from None
+    return total
+
+
+def _enumerate(
+    body: Sequence[Node],
+    symbols: Dict[str, int],
+    n: int,
+    keys: List,
+    loops: List[Tuple[str, np.ndarray]],
+    out: List[_Block],
+) -> None:
+    """Append a :class:`_Block` per statement reached under ``n`` rows.
+
+    Each child extends the order key with its position, and a loop also
+    with its value, so a lexsort of the keys is execution order.  Guards
+    trace the body, then the else branch, with no predicate evaluated.
+    """
+    scope = {**symbols, **dict(loops)}  # an inner loop shadows an outer one
+    for pos, node in enumerate(body):
+        if isinstance(node, Assign):
+            out.append(_Block(node, n, keys + [pos], loops, scope))
+        elif isinstance(node, Loop):
+            lo = _evaluate(node.lower, scope, n)
+            span = np.maximum(_evaluate(node.upper, scope, n) - lo, 0)
+            trips = (span + node.step - 1) // node.step
+            rows = np.repeat(np.arange(n), trips)
+            if not len(rows):
+                continue
+            first = np.cumsum(trips) - trips
+            value = lo[rows] + node.step * (np.arange(len(rows)) - first[rows])
+            _enumerate(
+                node.body,
+                symbols,
+                len(rows),
+                [k if isinstance(k, int) else k[rows] for k in keys] + [pos, value],
+                [(name, col[rows]) for name, col in loops] + [(node.var, value)],
+                out,
+            )
+        elif isinstance(node, Guard):
+            for branch, nodes in enumerate((node.body, node.else_body)):
+                _enumerate(nodes, symbols, n, keys + [pos, branch], loops, out)
+        elif not isinstance(node, Barrier):  # pragma: no cover - defensive
+            raise TypeError(f"cannot trace node {node!r}")
+
+
+def _direction_table(blocks: Sequence[_Block], depth: int) -> np.ndarray:
+    """``T[a, b, p]``: the column of block ``a``'s loops compared with
+    block ``b``'s ``p``-th loop, or -1 when ``a`` has no loop of that
+    name.  A shadowed name compares its innermost source loop."""
+    table = np.full((len(blocks), len(blocks), depth), -1, dtype=np.int64)
+    for a, src in enumerate(blocks):
+        last = {name: col for col, (name, _) in enumerate(src.loops)}
+        for b, dst in enumerate(blocks):
+            for p, (name, _) in enumerate(dst.loops):
+                table[a, b, p] = last.get(name, -1)
+    return table
+
+
 def _trace_dependences(
     body: Sequence[Node],
     sizes: Optional[Mapping[str, int]],
     default_size: int,
 ) -> List[Dependence]:
-    stmts = _collect_statements(body)
-    stmt_ids = {id(s): idx for idx, s in enumerate(stmts)}
+    stmt_ids = {id(s): idx for idx, s in enumerate(_collect_statements(body))}
     free: Set[str] = set()
     for node in body:
         free |= _free_symbols(node)
-    bound_vars = _loop_vars(body)
-    env: Dict[str, int] = {}
-    for name in free - bound_vars:
-        env[name] = (sizes or {}).get(name, default_size)
-    if sizes:
-        for name, value in sizes.items():
-            env.setdefault(name, value)
+    symbols = {name: (sizes or {}).get(name, default_size) for name in free - _loop_vars(body)}
+    for name, value in (sizes or {}).items():
+        symbols.setdefault(name, value)
 
-    accesses: Dict[Tuple[str, Tuple[int, ...]], List[_Access]] = {}
-    clock = [0]
-    _trace(body, env, (), stmt_ids, accesses, clock)
+    blocks: List[_Block] = []
+    _enumerate(body, symbols, 1, [], [], blocks)
+    if not blocks:
+        return []
+
+    # Instances: one row each, in execution order, with its loop values.
+    starts = np.cumsum([0] + [blk.n for blk in blocks])
+    n_rows = int(starts[-1])
+    depth = max(len(blk.loops) for blk in blocks)
+    keys = np.zeros((max(len(blk.keys) for blk in blocks), n_rows), dtype=np.int64)
+    values = np.zeros((n_rows, depth), dtype=np.int64)
+    for blk, lo, hi in zip(blocks, starts, starts[1:]):
+        for level, key in enumerate(blk.keys):
+            keys[level, lo:hi] = key
+        for col, (_, loop_values) in enumerate(blk.loops):
+            values[lo:hi, col] = loop_values
+    order = np.lexsort(keys[::-1])
+    del keys
+    values = values[order]
+    time = np.empty(n_rows, dtype=np.int64)
+    time[order] = np.arange(n_rows)
+
+    # References: each statement's reads, then its write.  Each (array,
+    # rank) gets a dense block of cell ids spanning what its references touch.
+    refs = [
+        (b, r.array, is_write, [_evaluate(i, blk.scope, blk.n) for i in r.indices])
+        for b, blk in enumerate(blocks)
+        for is_write, group in ((False, blk.stmt.reads()), (True, blk.stmt.writes()))
+        for r in group
+    ]
+    spans: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+    for _, array, _, columns in refs:
+        span = [(int(c.min()), int(c.max())) for c in columns]
+        seen = spans.setdefault((array, len(columns)), span)
+        spans[array, len(columns)] = [(min(a, c), max(b, d)) for (a, b), (c, d) in zip(seen, span)]
+    base, layouts = 0, {}
+    for group, span in spans.items():
+        strides = np.cumprod([1] + [hi - lo + 1 for lo, hi in span])
+        layouts[group] = base, [lo for lo, _ in span], strides[:-1]
+        base += int(strides[-1])
+
+    # Accesses: one int64 each packing (cell, time, ref), so one sort
+    # groups each cell's accesses in execution order, reads first.
+    n_refs = len(refs)
+    access = np.empty(sum(blocks[b].n for b, *_ in refs), dtype=np.int64)
+    at = 0
+    for r, (b, array, _, columns) in enumerate(refs):
+        cell, lows, strides = layouts[array, len(columns)]
+        for column, lo, stride in zip(columns, lows, strides):
+            cell = cell + (column - lo) * stride
+        n = blocks[b].n
+        access[at : at + n] = (cell * n_rows + time[starts[b] : starts[b + 1]]) * n_refs + r
+        at += n
+    del time
+    access.sort()
+    ref = access % n_refs
+    access //= n_refs
+    row = access % n_rows
+    cell = access // n_rows
+    del access
+
+    # Partners of each access: every later access of its cell if it is a
+    # write, every later write of its cell if it is a read.  Access i's
+    # partners are ``partners[start[i]:stop[i]]``: positions, then writes.
+    ref_block = np.array([b for b, *_ in refs], dtype=np.int64)
+    ref_write = np.array([is_write for _, _, is_write, _ in refs])
+    is_write = ref_write[ref]
+    count = len(cell)
+    index = np.arange(count)
+    run_end = np.append(np.flatnonzero(np.diff(cell)) + 1, count)
+    run_end = run_end[np.searchsorted(run_end, index, "right")]
+    del cell
+    writes = np.flatnonzero(is_write)
+    partners = np.concatenate((index, writes))
+    start = np.where(is_write, index + 1, count + np.searchsorted(writes, index, "right"))
+    stop = np.where(is_write, run_end, count + np.searchsorted(writes, run_end, "left"))
+    del run_end
+
+    # Classify: a pair's (ref, ref) fixes its array, kind and statements;
+    # its direction packs one base-4 digit per destination loop.
+    n_blocks = len(blocks)
+    table = _direction_table(blocks, depth).reshape(n_blocks * n_blocks, depth)
+    found: Set[Tuple[int, int]] = set()
+    for first, offset in _pair_chunks(stop - start):
+        second = partners[start[first] + offset]
+        src, dst = ref[first], ref[second]
+        pair = ref_block[src] * n_blocks + ref_block[dst]
+        src_row, dst_row = row[first], row[second]
+        code = np.zeros(len(first), dtype=np.int64)
+        for p in range(depth):
+            col = table[pair, p]
+            sign = np.sign(values[src_row, col] - values[dst_row, p]) + 1
+            code = code * 4 + np.where(col < 0, 3, sign)
+        head = src * n_refs + dst
+        order = np.lexsort((code, head))
+        head, code = head[order], code[order]
+        fresh = np.ones(len(head), dtype=bool)
+        fresh[1:] = (head[1:] != head[:-1]) | (code[1:] != code[:-1])
+        found.update(zip(head[fresh].tolist(), code[fresh].tolist()))
 
     deps: Set[Dependence] = set()
-    for (array, _cell), access_list in accesses.items():
-        access_list.sort(key=lambda a: a.time)
-        for i, first in enumerate(access_list):
-            for second in access_list[i + 1 :]:
-                if not (first.is_write or second.is_write):
-                    continue
-                if first.is_write and second.is_write:
-                    kind = "output"
-                elif first.is_write:
-                    kind = "flow"
-                else:
-                    kind = "anti"
-                deps.add(
-                    Dependence(
-                        kind,
-                        array,
-                        first.stmt_index,
-                        second.stmt_index,
-                        _direction(first, second),
-                    )
-                )
+    for head, code in found:
+        src, dst = divmod(head, n_refs)
+        digits = []
+        for _ in range(depth):
+            code, digit = divmod(code, 4)
+            digits.append(digit)
+        if not ref_write[src]:
+            kind = "anti"
+        else:
+            kind = "output" if ref_write[dst] else "flow"
+        deps.add(
+            Dependence(
+                kind,
+                refs[src][1],
+                stmt_ids[id(blocks[ref_block[src]].stmt)],
+                stmt_ids[id(blocks[ref_block[dst]].stmt)],
+                tuple(_SYMBOLS[d] for d in reversed(digits) if d != 3),
+            )
+        )
     return sorted(deps, key=lambda d: (d.array, d.kind, d.src, d.dst, d.direction))
+
+
+def _pair_chunks(fanout: np.ndarray):
+    """Yield ``(first, offset)``: access ``first`` with its ``offset``-th
+    partner, for every partner of every access, about
+    :data:`_PAIR_CHUNK` pairs at a time."""
+    ends = np.cumsum(fanout)
+    begins = ends - fanout
+    lo = 0
+    while lo < len(fanout) and begins[lo] < ends[-1]:
+        hi = max(int(np.searchsorted(ends, begins[lo] + _PAIR_CHUNK, "right")), lo + 1)
+        first = np.repeat(np.arange(lo, hi), fanout[lo:hi])
+        yield first, np.arange(begins[lo], ends[hi - 1]) - begins[first]
+        lo = hi
 
 
 def _free_symbols(node: Node) -> Set[str]:

@@ -44,6 +44,24 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["generate", "GEMM-NN", "--arch", "voodoo3"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "GEMM-XX"], "bad GEMM variant 'GEMM-XX'"),
+            (["compare", "SYMM-QQ"], "bad SYMM variant 'SYMM-QQ'"),
+            (["cuda", "TRSM-LL"], "bad TRSM variant 'TRSM-LL'"),
+            (["candidates", "FOO-NN"], "unknown BLAS3 family 'FOO'"),
+            (["serve", "--routines", "GEMM-NN", "GEMM-XX"], "bad GEMM variant"),
+            (["library", "--routines", "BGEMM-Q"], "bad BGEMM variant"),
+        ],
+    )
+    def test_unknown_routine_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and message in err
+
     def test_generate_with_tuning_flags(self, capsys, tmp_path):
         assert (
             main(
