@@ -2,8 +2,10 @@
 
 Pure-NumPy (float64) oracles used to validate both the OA-generated
 kernels and the CUBLAS/MAGMA-like baselines.  Full BLAS semantics —
-``alpha``/``beta`` scaling — live here; the IR kernels compute the
-``alpha = beta = 1`` core update (see DESIGN.md).
+``alpha``/``beta`` scaling, through the same
+:func:`~repro.blas3.routines.epilogue` every execution path applies —
+live here; the IR kernels compute the ``alpha = beta = 1`` core update
+(see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from .naming import parse_variant
+from .routines import epilogue, get_spec
 
 __all__ = ["reference", "densify_symmetric", "densify_triangular", "random_inputs"]
 
@@ -41,26 +44,6 @@ def reference(
     b = np.asarray(inputs["B"], dtype=np.float64)
     c = np.asarray(inputs["C"], dtype=np.float64) if "C" in inputs else None
 
-    if v.family == "GEMM":
-        opa = a.T if v.trans_a == "T" else a
-        opb = b.T if v.trans_b == "T" else b
-        return alpha * (opa @ opb) + (beta * c if c is not None else 0.0)
-
-    if v.family == "BGEMM":
-        opa = a.transpose(0, 2, 1) if v.trans_a == "T" else a
-        opb = b.transpose(0, 2, 1) if v.trans_b == "T" else b
-        return alpha * np.matmul(opa, opb) + (beta * c if c is not None else 0.0)
-
-    if v.family == "SYMM":
-        full = densify_symmetric(a, v.uplo)
-        prod = full @ b if v.side == "L" else b @ full
-        return alpha * prod + (beta * c if c is not None else 0.0)
-
-    if v.family == "TRMM":
-        op = densify_triangular(a, v.uplo, v.trans)
-        prod = op @ b if v.side == "L" else b @ op
-        return alpha * prod + (beta * c if c is not None else 0.0)
-
     if v.family == "TRSM":
         op = densify_triangular(a, v.uplo, v.trans)
         if v.side == "L":
@@ -69,44 +52,41 @@ def reference(
             x = np.linalg.solve(op.T, b.T).T
         return alpha * x
 
-    raise ValueError(f"unknown family {v.family!r}")
+    if v.family == "GEMM":
+        opa = a.T if v.trans_a == "T" else a
+        opb = b.T if v.trans_b == "T" else b
+        prod = opa @ opb
+    elif v.family == "BGEMM":
+        opa = a.transpose(0, 2, 1) if v.trans_a == "T" else a
+        opb = b.transpose(0, 2, 1) if v.trans_b == "T" else b
+        prod = np.matmul(opa, opb)
+    elif v.family == "SYMM":
+        full = densify_symmetric(a, v.uplo)
+        prod = full @ b if v.side == "L" else b @ full
+    elif v.family == "TRMM":
+        op = densify_triangular(a, v.uplo, v.trans)
+        prod = op @ b if v.side == "L" else b @ op
+    else:
+        raise ValueError(f"unknown family {v.family!r}")
+    return epilogue(prod, alpha, beta, c)
 
 
 def random_inputs(
     name: str, sizes: Mapping[str, int], seed: int = 0
 ) -> Dict[str, np.ndarray]:
     """Structured float32 inputs for a variant (stored triangles, zero
-    blanks, boosted diagonals for solves)."""
-    v = parse_variant(name)
+    blanks, boosted diagonals for solves), shaped by its routine spec.
+    ``K`` defaults to ``N`` and ``P`` to 1."""
+    spec = get_spec(name)
     rng = np.random.default_rng(seed)
-    m, n = sizes["M"], sizes["N"]
-    k = sizes.get("K", n)
+    env = {"K": sizes["N"], "P": 1, **sizes}
     out: Dict[str, np.ndarray] = {}
-
-    if v.family == "GEMM":
-        a_shape = (m, k) if v.trans_a == "N" else (k, m)
-        b_shape = (k, n) if v.trans_b == "N" else (n, k)
-        out["A"] = rng.standard_normal(a_shape).astype(np.float32)
-        out["B"] = rng.standard_normal(b_shape).astype(np.float32)
-        out["C"] = rng.standard_normal((m, n)).astype(np.float32)
-        return out
-
-    if v.family == "BGEMM":
-        p = sizes.get("P", 1)
-        a_shape = (p, m, k) if v.trans_a == "N" else (p, k, m)
-        b_shape = (p, k, n) if v.trans_b == "N" else (p, n, k)
-        out["A"] = rng.standard_normal(a_shape).astype(np.float32)
-        out["B"] = rng.standard_normal(b_shape).astype(np.float32)
-        out["C"] = rng.standard_normal((p, m, n)).astype(np.float32)
-        return out
-
-    d = m if v.side == "L" else n
-    a = rng.standard_normal((d, d)).astype(np.float32)
-    a = np.tril(a) if v.uplo == "L" else np.triu(a)
-    if v.family == "TRSM":
-        a = a + 4.0 * np.eye(d, dtype=np.float32)
-    out["A"] = a
-    out["B"] = rng.standard_normal((m, n)).astype(np.float32)
-    if v.family != "TRSM":
-        out["C"] = rng.standard_normal((m, n)).astype(np.float32)
+    for arr in spec.arrays:
+        x = rng.standard_normal(spec.extent(arr.name, env)).astype(np.float32)
+        stored = arr.triangular or arr.symmetric
+        if stored:
+            x = np.tril(x) if stored == "lower" else np.triu(x)
+        if arr.triangular and spec.variant.family == "TRSM":
+            x = x + 4.0 * np.eye(len(x), dtype=np.float32)
+        out[arr.name] = x
     return out

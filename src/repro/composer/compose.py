@@ -86,14 +86,9 @@ class Composer:
         source: Computation,
         base_script: EpodScript,
         adaptations: Sequence[Tuple[Adaptor, str]],
-        check_semantics: bool = True,
     ) -> ComposeOutcome:
         candidates = compose_candidates(base_script, adaptations, name=source.name)
         report = filter_candidates(
-            candidates,
-            source,
-            self.params,
-            check_semantics=check_semantics,
-            telemetry=self.telemetry,
+            candidates, source, self.params, telemetry=self.telemetry
         )
         return ComposeOutcome(candidates, report)

@@ -49,7 +49,6 @@ def filter_candidates(
     candidates: List[ComposedScript],
     source: Computation,
     params: Optional[Dict[str, int]] = None,
-    check_semantics: bool = True,
     telemetry=None,
 ) -> FilterReport:
     """Run the filter over mixed candidates.
@@ -75,10 +74,9 @@ def filter_candidates(
         seen[key] = candidate
         filtered = FilteredCandidate(candidate, result)
         report.semi_output.append(filtered)
-        if check_semantics:
-            verdict = check_equivalence(result.comp, source, params, telemetry=telemetry)
-            if not verdict.ok:
-                report.rejected.append((candidate, verdict.reason))
-                continue
+        verdict = check_equivalence(result.comp, source, params, telemetry=telemetry)
+        if not verdict.ok:
+            report.rejected.append((candidate, verdict.reason))
+            continue
         report.accepted.append(filtered)
     return report

@@ -217,7 +217,7 @@ class ShardedBlasService:
         if sizes is None:
             try:
                 sizes = infer_sizes(spec, arrays)
-            except (KeyError, IndexError, ValueError):
+            except ValueError:
                 sizes = None  # unsizable: the owner answers the error
         return self._admit(
             spec.name,

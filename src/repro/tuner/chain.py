@@ -40,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..blas3.routines import get_spec
+from ..blas3.routines import epilogue, get_spec
 from ..composer.fuse import StitchedChain, fuse_chain, stitch_chain
 from ..gpu.simulator import SimulatedGPU
 from ..gpu.timing import LaunchTiming, estimate_chain_time
@@ -227,9 +227,8 @@ class ChainPlan:
                 )
 
         final = req_nodes[-1]
-        final_spec = get_spec(final.routine)
-        c_in = 0.0
-        if final_spec.output == "C" and "C" in final.operands:
+        c_in = None  # read before the segment's outputs rebind any symbol
+        if "C" in final.operands:
             c_in = np.asarray(values[final.operands["C"]], np.float32)
 
         outputs = jit_execute(
@@ -239,13 +238,12 @@ class ChainPlan:
             telemetry=self.telemetry,
             kernel=segment.kernel.get(segment.comp, self.telemetry),
         )
-
         for pnode, rnode in zip(plan_nodes, req_nodes):
-            raw = outputs[pnode.output]
-            if rnode is final and final_spec.output == "C":
-                values[rnode.output] = final.alpha * raw + final.beta * c_in
-            else:
-                values[rnode.output] = raw
+            values[rnode.output] = outputs[pnode.output]
+        if get_spec(final.routine).output == "C":
+            values[final.output] = epilogue(
+                values[final.output], final.alpha, final.beta, c_in
+            )
 
 
 def _edge_eligible(dag, edge, legal: bool) -> Tuple[bool, str]:

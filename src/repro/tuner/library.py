@@ -23,11 +23,11 @@ from ..blas3.routines import (
     BASE_GEMM_SCRIPT,
     RoutineSpec,
     build_routine,
+    epilogue,
     get_spec,
     infer_sizes,
 )
 from ..composer.compose import compose_candidates
-from ..composer.filterer import filter_candidates
 from ..composer.generator import ComposedScript
 from ..composer.oracle import check_equivalence
 from ..epod.script import parse_script
@@ -146,9 +146,9 @@ class TunedRoutine:
         is not zero — the multi-versioned code of §IV-A.3.
         """
         if sizes is None:
-            sizes = self._infer_sizes(inputs)
+            sizes = infer_sizes(self.spec, inputs)
         divisible = self._tile_divisible(sizes)
-        inputs = self._logical_inputs(inputs, sizes)
+        inputs = self.spec.logical_inputs(inputs, sizes)
         if self.conditions and not self.check_blank_zero(inputs):
             if self.fallback is None:
                 raise RuntimeError(
@@ -157,9 +157,7 @@ class TunedRoutine:
             return self.fallback._execute(inputs, sizes=sizes, alpha=alpha, beta=beta)
         if not divisible:
             # Full-tile kernels (DESIGN.md): pad up to the next tile
-            # multiple, run, and slice the result back.  Zero padding is
-            # exact for the multiply families; solves pad the triangular
-            # matrix with an identity block.
+            # multiple, run, and slice the result back.
             return self._run_padded(inputs, sizes, alpha=alpha, beta=beta)
         gpu = SimulatedGPU(self.arch, telemetry=self.telemetry)
         kernel = self.kernel.get(self.comp, self.telemetry)
@@ -169,15 +167,17 @@ class TunedRoutine:
             # In-place solve of alpha-scaled RHS.
             kernel_inputs["B"] = np.asarray(inputs["B"], dtype=np.float32) * alpha
             return gpu.execute(self.comp, sizes, kernel_inputs, kernel=kernel)[out_name]
-        # C-accumulating families: kernel computes P = op(A) op(B) into a
-        # zeroed C, then the host applies C := alpha*P + beta*C.
-        c_in = np.asarray(
-            kernel_inputs.get("C", 0.0), dtype=np.float32
-        )
-        out_shape = tuple(d.evaluate(sizes) for d in self._array("C").dims)
-        kernel_inputs["C"] = np.zeros(out_shape, np.float32)
+        # C-accumulating families: the kernel computes op(A) op(B) into a
+        # zeroed C, then the host applies the alpha/beta epilogue.
+        c_in = kernel_inputs.get("C")
+        kernel_inputs["C"] = np.zeros(self.spec.extent(out_name, sizes), np.float32)
         outputs = gpu.execute(self.comp, sizes, kernel_inputs, kernel=kernel)
-        return alpha * outputs[out_name] + beta * c_in
+        return epilogue(
+            outputs[out_name],
+            alpha,
+            beta,
+            None if c_in is None else np.asarray(c_in, dtype=np.float32),
+        )
 
     def _tile_for(self, sym: str) -> int:
         if sym == "P":
@@ -203,65 +203,17 @@ class TunedRoutine:
             out[sym] = -(-sizes[sym] // tile) * tile
         return out
 
-    def _logical_inputs(
-        self, inputs: Mapping[str, np.ndarray], sizes: Mapping[str, int]
-    ) -> Dict[str, np.ndarray]:
-        """Each routine array of ``inputs`` cut to its logical extent.
-
-        Callers may hand buffers *larger* than the problem named by
-        explicit ``sizes`` (the BLAS leading-dimension convention):
-        anything beyond the logical extent is storage, not data.  Smaller
-        is not storage, it is an inconsistent call.
-        """
-        env = dict(sizes)
-        out = dict(inputs)
-        for arr in self.spec.arrays:
-            if arr.name not in inputs:
-                continue
-            data = np.asarray(inputs[arr.name])
-            logical = tuple(d.evaluate(env) for d in arr.dims)
-            if data.ndim != len(logical) or data.shape == logical:
-                continue
-            if any(have < want for want, have in zip(logical, data.shape)):
-                raise ValueError(
-                    f"{self.name}: array {arr.name} has shape {data.shape}, "
-                    f"smaller than its logical extent {logical}"
-                )
-            out[arr.name] = data[tuple(slice(0, want) for want in logical)]
-        return out
-
     def _run_padded(self, inputs, sizes, alpha: float, beta: float) -> np.ndarray:
         """Run logically-sized ``inputs`` at the next tile multiple."""
         padded_sizes = self._padded_sizes(sizes)
-        penv = dict(padded_sizes)
-        padded_inputs = {}
-        for arr in self.spec.arrays:
-            if arr.name not in inputs:
-                continue
-            data = np.asarray(inputs[arr.name], dtype=np.float32)
-            shape = tuple(d.evaluate(penv) for d in arr.dims)
-            buf = np.zeros(shape, np.float32)
-            region = tuple(slice(0, have) for have in data.shape)
-            buf[region] = data
-            if self.spec.variant.family == "TRSM" and arr.triangular:
-                # Identity on the padded diagonal keeps the solve exact.
-                for d in range(data.shape[0], shape[0]):
-                    buf[d, d] = 1.0
-            padded_inputs[arr.name] = buf
-        result = self._execute(padded_inputs, sizes=padded_sizes, alpha=alpha, beta=beta)
-        out_shape = tuple(
-            d.evaluate(sizes) for d in self._array(self.spec.output).dims
+        result = self._execute(
+            self.spec.pad(inputs, padded_sizes),
+            sizes=padded_sizes,
+            alpha=alpha,
+            beta=beta,
         )
+        out_shape = self.spec.extent(self.spec.output, sizes)
         return result[tuple(slice(0, s) for s in out_shape)]
-
-    def _array(self, name: str):
-        for a in self.spec.arrays:
-            if a.name == name:
-                return a
-        raise KeyError(name)
-
-    def _infer_sizes(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, int]:
-        return infer_sizes(self.spec, inputs)
 
     def cuda_source(self) -> str:
         from ..codegen.cuda import emit_cuda
@@ -275,12 +227,6 @@ class LibraryGenerator:
     def __init__(
         self,
         arch: GPUArch,
-        # Tiles per partitioned dimension in the verification sweep.  The
-        # compiled execution path (repro.jit) made verify cheap enough to
-        # afford 3 tiles by default — covering interior/edge/interior
-        # block interactions the old 2-tile sweep could not see.
-        verify_size: int = 3,
-        check_candidates: bool = False,
         telemetry: Optional[Telemetry] = None,
         options: Optional[TuningOptions] = None,
     ):
@@ -293,8 +239,6 @@ class LibraryGenerator:
             arch, telemetry=self.telemetry, options=options
         )
         self.base_script = parse_script(BASE_GEMM_SCRIPT, name="gemm-nn")
-        self.verify_size = verify_size
-        self.check_candidates = check_candidates
         self._cache: Dict[str, TunedRoutine] = {}
         self._verify_cache: Dict = {}
         self.disk_cache = None
@@ -310,7 +254,7 @@ class LibraryGenerator:
             self._verdict_key = self.disk_cache.verdict_key(
                 arch,
                 self._base_hash,
-                verify_size=verify_size,
+                verify_size=self.VERIFY_TILES,
                 verify_config=dict(sorted(self.VERIFY_CONFIG.items())),
             )
             self._verdicts_loaded = False
@@ -323,10 +267,7 @@ class LibraryGenerator:
         a different winner than the exhaustive sweep, so the two must
         not share a cache slot (and default keys stay stable).
         """
-        knobs = {
-            "tune_size": self.tune_size,
-            "check_candidates": self.check_candidates,
-        }
+        knobs = {"tune_size": self.tune_size, **self._LEGACY_KEY_KNOBS}
         if self.options.topk is not None:
             knobs["topk"] = self.options.topk
         return self.disk_cache.routine_key(
@@ -343,8 +284,13 @@ class LibraryGenerator:
             self._base_hash,
             self._space_fp,
             tune_size=self.tune_size,
-            check_candidates=self.check_candidates,
+            **self._LEGACY_KEY_KNOBS,
         )
+
+    #: A knob that used to select an unused candidate pre-filter.  It stays
+    #: in the routine and score cache keys at its only value, so tuning
+    #: caches written before its removal still hit.
+    _LEGACY_KEY_KNOBS = {"check_candidates": False}
 
     # ------------------------------------------------------------------
     def base_script_for(self, spec: RoutineSpec):
@@ -374,17 +320,7 @@ class LibraryGenerator:
         adaptations = [
             (BUILTIN_ADAPTORS[adaptor], obj) for adaptor, obj in spec.adaptations
         ]
-        source = build_routine(name)
-        raw = compose_candidates(self.base_script_for(spec), adaptations, name=name)
-        if not self.check_candidates:
-            return raw
-        report = filter_candidates(
-            raw,
-            source,
-            params={"BM": 16, "BN": 16, "KT": 4, "TX": 8, "TY": 4},
-            telemetry=self.telemetry,
-        )
-        return [fc.candidate for fc in report.accepted]
+        return compose_candidates(self.base_script_for(spec), adaptations, name=name)
 
     # ------------------------------------------------------------------
     def generate(self, name: str, keep_all_scores: bool = False) -> TunedRoutine:
@@ -578,6 +514,10 @@ class LibraryGenerator:
     #: at small tiles is verified for larger ones provided the *effective*
     #: (post-degeneration) component sequence matches.
     VERIFY_CONFIG: Config = {"BM": 16, "BN": 16, "KT": 8, "TX": 8, "TY": 2}
+    #: Tiles per partitioned dimension in the verification sweep: 3 covers
+    #: the interior/edge/interior block interactions a 2-tile sweep
+    #: cannot see.  Part of the verdict cache key.
+    VERIFY_TILES = 3
 
     def _script_verified(self, source: Computation, score: CandidateScore) -> bool:
         cache_key = (source.name, score.applied_key)
@@ -616,7 +556,7 @@ class LibraryGenerator:
                     small.comp,
                     source,
                     cfg,
-                    tiles=self.verify_size,
+                    tiles=self.VERIFY_TILES,
                     telemetry=self.telemetry,
                 ).ok
             else:

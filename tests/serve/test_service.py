@@ -280,7 +280,27 @@ class TestTelemetry:
         assert stats["counters"]["serve.requests"] == 1
 
 
+#: calls whose operand shapes disagree on a dimension (K; M)
+INCONSISTENT_CALLS = [
+    ("GEMM-NN", {"A": (8, 16), "B": (20, 8)}),
+    ("SYMM-LL", {"A": (12, 12), "B": (8, 8)}),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("routine, shapes", INCONSISTENT_CALLS)
+    def test_inconsistent_shapes_answer_error(self, routine, shapes):
+        # Regression: the call was served "tuned" from operands cut to
+        # the sizes one operand implied.
+        service = make_service()
+        arrays = {name: np.ones(shape, np.float32) for name, shape in shapes.items()}
+        pending = service.submit(routine, **arrays)
+        service.flush()
+        response = pending.response()
+        assert response.source == "error"
+        assert "dimension" in response.error
+        assert service.telemetry.count("serve.errors") == 1
+
     def test_bad_shapes_error_cleanly(self):
         service = make_service()
         service.warm("GEMM-NN", 32)

@@ -18,7 +18,7 @@ from repro.serve import (
 from repro.telemetry import Telemetry
 from repro.tuner import TuningOptions
 
-from .test_service import GEMM_SIZES, SMALL_SPACE
+from .test_service import GEMM_SIZES, INCONSISTENT_CALLS, SMALL_SPACE
 
 
 def make_tier(shards, tmp_path=None, clock=None, **serve_kwargs):
@@ -189,6 +189,22 @@ class TestShardedService:
         assert response.source == "error"
         assert response.request_id > 0  # a worker's request, not a shed
         owner = tier.router.route("GEMM-NN", tier.options.min_bucket)
+        assert tier.telemetry.count(f"serve.shard.{owner}.routed") == 1
+        assert tier.telemetry.count("serve.errors") == 1
+
+
+    @pytest.mark.parametrize("routine, shapes", INCONSISTENT_CALLS)
+    def test_inconsistent_shapes_are_answered_by_their_owner(self, routine, shapes):
+        """Operands that disagree on a dimension cannot be sized at the
+        door either: routed at the floor bucket, answered ``error``."""
+        tier = make_tier(2)
+        arrays = {name: np.ones(shape, np.float32) for name, shape in shapes.items()}
+        pending = tier.submit(routine, **arrays)
+        tier.flush()
+        response = pending.response()
+        assert response.source == "error"
+        assert response.request_id > 0
+        owner = tier.router.route(routine, tier.options.min_bucket)
         assert tier.telemetry.count(f"serve.shard.{owner}.routed") == 1
         assert tier.telemetry.count("serve.errors") == 1
 

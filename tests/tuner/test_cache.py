@@ -143,6 +143,18 @@ class TestCachePrimitives:
         b = space_fingerprint(list(reversed(SMALL_SPACE)))
         assert a != b  # order breaks search ties, so it must key the cache
 
+    def test_default_keys_are_stable(self, tmp_path):
+        # Pinned digests: a refactor of LibraryGenerator's knobs must not
+        # move the keys, or every existing tuning cache stops hitting.
+        gen = LibraryGenerator(GTX_285, options=TuningOptions(cache_dir=tmp_path))
+        assert gen._routine_cache_key("GEMM-NN") == "247216555c67426e2e87f701"
+        assert gen._scores_cache_key("GEMM-NN") == "247216555c67426e2e87f701"
+        assert gen._verdict_key == "ac8edb4fee8cdadbaf1e2d62"
+        budgeted = LibraryGenerator(
+            GTX_285, options=TuningOptions(cache_dir=tmp_path, topk=4)
+        )
+        assert budgeted._routine_cache_key("TRSM-LL-N") == "7a30747066d67a7abd07e267"
+
     def test_load_missing_is_miss_not_crash(self, tmp_path):
         cache = TuningCache(tmp_path / "nonexistent")
         assert cache.load_routine("deadbeef", "GEMM-NN", GTX_285) is None
