@@ -15,6 +15,7 @@ from repro.blas3 import (
     random_inputs,
     reference,
 )
+from repro.blas3.routines import epilogue
 from repro.ir import interpret, validate
 
 
@@ -105,6 +106,18 @@ class TestReferenceSemantics:
         ref = reference("GEMM-NN", inputs, alpha=2.0, beta=-1.0)
         a, b, c = (np.float64(inputs[k]) for k in "ABC")
         np.testing.assert_allclose(ref, 2.0 * a @ b - c, rtol=1e-6)
+
+    def test_epilogue_hand_values(self):
+        # Checked against hand-written values, not against the reference
+        # that shares the epilogue.
+        raw = np.array([[1.0, -2.0], [0.5, 4.0]], np.float32)
+        c = np.array([[3.0, 1.0], [-1.0, 2.0]], np.float32)
+        assert np.array_equal(
+            epilogue(raw, 2.0, -0.5, c), np.array([[0.5, -4.5], [1.5, 7.0]])
+        )
+        assert np.array_equal(epilogue(raw, 1.5, 0.0, np.full((2, 2), np.nan)), 1.5 * raw)
+        assert np.array_equal(epilogue(raw, 0.0, 1.0, c), c)
+        assert np.array_equal(epilogue(raw, 2.0, 1.0), 2.0 * raw)
 
     def test_densify_symmetric(self):
         rng = np.random.default_rng(0)
