@@ -4,8 +4,12 @@ Runs each representative tuned-shape kernel at the verify tile
 configuration through both execution paths — the tree-walking
 interpreter and the JIT-compiled NumPy kernel — at N=32 and N=64,
 asserts the compiled path is an order of magnitude faster, and writes
-``BENCH_jit.json`` at the repo root.  Cross-checks outputs bit-for-bit
-on every measured run, so the numbers can never drift from correctness.
+``BENCH_jit.json`` at the repo root.  Then runs all 28 BLAS3 reference
+nests (the source routines every verify sweep runs as its oracle) at
+the verify sweep's sizes and adds their interpreter and JIT times and
+sliced loop counts under ``reference_nests``.  Cross-checks outputs
+bit-for-bit on every measured run, so the numbers can never drift from
+correctness.
 """
 
 import json
@@ -16,8 +20,11 @@ import numpy as np
 
 from repro import jit
 from repro.blas3 import BASE_GEMM_SCRIPT, build_routine, random_inputs
+from repro.blas3.naming import ALL_VARIANTS, BATCHED_VARIANTS
+from repro.composer.oracle import make_inputs, oracle_sizes
 from repro.epod import parse_script, translate
 from repro.ir.interpret import interpret
+from repro.tuner.library import LibraryGenerator
 
 from .conftest import emit
 
@@ -125,5 +132,54 @@ def test_bench_jit_vs_interpreter():
         "compiled vs interpreted kernel execution (verify tile config)\n"
         + "\n".join(lines)
         + f"\nmin {record['min_speedup']:.1f}x / max {record['max_speedup']:.1f}x"
+        + f"\nwritten to {BENCH_PATH}"
+    )
+
+
+def test_bench_reference_nests():
+    """Every reference nest slices at least one loop, matches the
+    interpreter bit for bit and runs at least 5x faster than it."""
+    jit.clear_cache()
+    nests, lines = {}, []
+    for name in map(str, ALL_VARIANTS + BATCHED_VARIANTS):
+        comp = build_routine(name)
+        kernel = jit.compile_computation(comp)
+        sizes = oracle_sizes(
+            comp, LibraryGenerator.VERIFY_CONFIG, tiles=LibraryGenerator.VERIFY_TILES
+        )
+        inputs = make_inputs(comp, sizes, seed=5)
+
+        t0 = time.perf_counter()
+        ref = interpret(comp, sizes, inputs)
+        interp_s = time.perf_counter() - t0
+        got = jit.execute(comp, sizes, inputs, kernel=kernel)
+        for arr in ref:
+            assert np.array_equal(ref[arr], got[arr]), f"{name}: {arr}"
+        jit_s = float("inf")
+        for _ in range(JIT_REPS):
+            t0 = time.perf_counter()
+            jit.execute(comp, sizes, inputs, kernel=kernel)
+            jit_s = min(jit_s, time.perf_counter() - t0)
+
+        nests[name] = {
+            "sizes": sizes,
+            "interp_s": interp_s,
+            "jit_s": jit_s,
+            "speedup": interp_s / jit_s,
+            "vectorized_loops": kernel.vectorized_loops,
+        }
+        lines.append(
+            f"{name:10s} interp {interp_s * 1e3:8.1f} ms  jit {jit_s * 1e3:7.2f} ms  "
+            f"{interp_s / jit_s:6.1f}x  sliced {kernel.vectorized_loops}"
+        )
+        assert kernel.vectorized_loops >= 1, f"{name}: no loop sliced"
+        assert interp_s / jit_s >= 5.0, f"{name}: only {interp_s / jit_s:.1f}x"
+
+    record = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    record["reference_nests"] = nests
+    BENCH_PATH.write_text(json.dumps(record, indent=1))
+    emit(
+        "reference nests at the verify sweep's sizes, compiled vs interpreted\n"
+        + "\n".join(lines)
         + f"\nwritten to {BENCH_PATH}"
     )

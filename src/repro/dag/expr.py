@@ -391,14 +391,13 @@ class Dag:
         tuned plans, fused kernels, the serve fallback — is tested
         against.
         """
-        shapes = {name: np.asarray(arr).shape for name, arr in arrays.items()}
-        node_sizes = self.node_sizes(shapes)
+        # operands whose shapes disagree raise ValueError before any work
+        self.node_sizes({name: np.asarray(arr).shape for name, arr in arrays.items()})
         values: Dict[str, np.ndarray] = {
             name: np.asarray(arrays[name]) for name in self.inputs
         }
         out = None
-        for node, sizes in zip(self.nodes, node_sizes):
-            spec = get_spec(node.routine)
+        for node in self.nodes:
             inputs = {
                 operand: values[symbol]
                 for operand, symbol in node.operands.items()

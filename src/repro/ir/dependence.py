@@ -37,6 +37,7 @@ import numpy as np
 from .affine import AffineExpr, MaxExpr, MinExpr
 from .ast import Assign, ArrayRef, Barrier, Guard, Loop, Node
 from .fingerprint import UnsupportedIR, encode_body
+from .visitors import iter_loops, walk
 
 __all__ = [
     "Dependence",
@@ -50,6 +51,7 @@ __all__ = [
     "interchange_legal",
     "fusion_legal",
     "carries_dependence",
+    "carrying_loops",
 ]
 
 # Direction symbols: "<" (carried forward), "=" (loop-independent),
@@ -168,8 +170,8 @@ def may_alias(
 # ---------------------------------------------------------------------------
 
 
-# structural body encoding x sorted sizes x default_size -> dependence set
-_MEMO: Dict[Tuple, Tuple[Dependence, ...]] = {}
+# structural body encoding x trace domain -> dependence set, or carrying loops
+_MEMO: Dict[Tuple, object] = {}
 _LOCK = threading.Lock()
 _MAX_ENTRIES = 4096  # far above any real workload; a leak backstop, not an LRU
 
@@ -178,6 +180,24 @@ def clear_cache() -> None:
     """Forget every memoized dependence set."""
     with _LOCK:
         _MEMO.clear()
+
+
+def _memoized(body: Sequence[Node], domain: Tuple, compute):
+    """``compute()``, memoized on ``body``'s label-free structure and
+    ``domain``; bodies the structural encoder rejects are not cached."""
+    try:
+        key = (encode_body(body), *domain)
+    except UnsupportedIR:
+        return compute()
+    with _LOCK:
+        result = _MEMO.get(key)
+    if result is None:
+        result = compute()
+        with _LOCK:
+            if len(_MEMO) >= _MAX_ENTRIES:
+                _MEMO.clear()
+            _MEMO[key] = result
+    return result
 
 
 def analyze_dependences(
@@ -191,19 +211,10 @@ def analyze_dependences(
     bodies the structural encoder rejects are analyzed uncached.  Every
     call returns a fresh list.
     """
-    try:
-        key = (encode_body(body), tuple(sorted((sizes or {}).items())), default_size)
-    except UnsupportedIR:
-        return _trace_dependences(body, sizes, default_size)
-    with _LOCK:
-        deps = _MEMO.get(key)
-    if deps is None:
-        deps = tuple(_trace_dependences(body, sizes, default_size))
-        with _LOCK:
-            if len(_MEMO) >= _MAX_ENTRIES:
-                _MEMO.clear()
-            _MEMO[key] = deps
-    return list(deps)
+    domain = (tuple(sorted((sizes or {}).items())), default_size)
+    return list(
+        _memoized(body, domain, lambda: tuple(_trace_dependences(body, sizes, default_size)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +341,7 @@ def _trace_dependences(
     default_size: int,
 ) -> List[Dependence]:
     stmt_ids = {id(s): idx for idx, s in enumerate(_collect_statements(body))}
-    free: Set[str] = set()
-    for node in body:
-        free |= _free_symbols(node)
-    symbols = {name: (sizes or {}).get(name, default_size) for name in free - _loop_vars(body)}
-    for name, value in (sizes or {}).items():
-        symbols.setdefault(name, value)
-
-    blocks: List[_Block] = []
-    _enumerate(body, symbols, 1, [], [], blocks)
+    blocks = _instances(body, sizes, default_size)
     if not blocks:
         return []
 
@@ -359,34 +362,13 @@ def _trace_dependences(
     time = np.empty(n_rows, dtype=np.int64)
     time[order] = np.arange(n_rows)
 
-    # References: each statement's reads, then its write.  Each (array,
-    # rank) gets a dense block of cell ids spanning what its references touch.
-    refs = [
-        (b, r.array, is_write, [_evaluate(i, blk.scope, blk.n) for i in r.indices])
-        for b, blk in enumerate(blocks)
-        for is_write, group in ((False, blk.stmt.reads()), (True, blk.stmt.writes()))
-        for r in group
-    ]
-    spans: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
-    for _, array, _, columns in refs:
-        span = [(int(c.min()), int(c.max())) for c in columns]
-        seen = spans.setdefault((array, len(columns)), span)
-        spans[array, len(columns)] = [(min(a, c), max(b, d)) for (a, b), (c, d) in zip(seen, span)]
-    base, layouts = 0, {}
-    for group, span in spans.items():
-        strides = np.cumprod([1] + [hi - lo + 1 for lo, hi in span])
-        layouts[group] = base, [lo for lo, _ in span], strides[:-1]
-        base += int(strides[-1])
-
     # Accesses: one int64 each packing (cell, time, ref), so one sort
     # groups each cell's accesses in execution order, reads first.
+    refs = _reference_cells(blocks)
     n_refs = len(refs)
     access = np.empty(sum(blocks[b].n for b, *_ in refs), dtype=np.int64)
     at = 0
-    for r, (b, array, _, columns) in enumerate(refs):
-        cell, lows, strides = layouts[array, len(columns)]
-        for column, lo, stride in zip(columns, lows, strides):
-            cell = cell + (column - lo) * stride
+    for r, (b, _, _, cell) in enumerate(refs):
         n = blocks[b].n
         access[at : at + n] = (cell * n_rows + time[starts[b] : starts[b + 1]]) * n_refs + r
         at += n
@@ -458,6 +440,58 @@ def _trace_dependences(
             )
         )
     return sorted(deps, key=lambda d: (d.array, d.kind, d.src, d.dst, d.direction))
+
+
+def _instances(
+    body: Sequence[Node], sizes: Optional[Mapping[str, int]], default_size: int
+) -> List[_Block]:
+    """The statement instances of ``body`` with its free symbols at
+    ``sizes``, else ``default_size``."""
+    free: Set[str] = set()
+    for node in body:
+        free |= _free_symbols(node)
+    symbols = {name: (sizes or {}).get(name, default_size) for name in free - _loop_vars(body)}
+    for name, value in (sizes or {}).items():
+        symbols.setdefault(name, value)
+    blocks: List[_Block] = []
+    _enumerate(body, symbols, 1, [], [], blocks)
+    return blocks
+
+
+def _reference_columns(blocks: Sequence[_Block]) -> List[Tuple[int, str, bool, List[np.ndarray]]]:
+    """``(block, array, is_write, indices)`` for each statement's reads,
+    then its write: the index values each instance touches."""
+    return [
+        (b, r.array, is_write, [_evaluate(i, blk.scope, blk.n) for i in r.indices])
+        for b, blk in enumerate(blocks)
+        for is_write, group in ((False, blk.stmt.reads()), (True, blk.stmt.writes()))
+        for r in group
+    ]
+
+
+def _reference_cells(blocks: Sequence[_Block]) -> List[Tuple[int, str, bool, np.ndarray]]:
+    """``(block, array, is_write, cell)`` for each statement's reads, then
+    its write: the cell id each instance touches.  Each (array, rank)
+    gets a dense block of ids spanning what its references touch."""
+    refs = _reference_columns(blocks)
+    spans: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+    for _, array, _, columns in refs:
+        span = [(int(c.min()), int(c.max())) for c in columns]
+        seen = spans.setdefault((array, len(columns)), span)
+        spans[array, len(columns)] = [(min(a, c), max(b, d)) for (a, b), (c, d) in zip(seen, span)]
+    base, layouts = 0, {}
+    for group, span in spans.items():
+        strides = np.cumprod([1] + [hi - lo + 1 for lo, hi in span])
+        layouts[group] = base, [lo for lo, _ in span], strides[:-1]
+        base += int(strides[-1])
+    out = []
+    for b, array, is_write, columns in refs:
+        first, lows, strides = layouts[array, len(columns)]
+        cell = np.full(blocks[b].n, first, dtype=np.int64)
+        for column, lo, stride in zip(columns, lows, strides):
+            cell += (column - lo) * stride
+        out.append((b, array, is_write, cell))
+    return out
 
 
 def _pair_chunks(fanout: np.ndarray):
@@ -555,6 +589,177 @@ def carries_dependence(
     """Whether the loop at ``depth`` carries any dependence (blocks
     parallelisation of that loop)."""
     return depth in carried_depths(body, sizes)
+
+
+def carrying_loops(
+    nest: Loop, enclosing: Sequence[Loop] = (), among: Optional[Sequence[Loop]] = None
+) -> Set[Loop]:
+    """The loops of ``among`` (by default every loop of ``nest``, itself
+    included; compared by identity) that carry a dependence when
+    ``nest`` runs inside the ``enclosing`` loops (outermost first).
+
+    A loop carries a dependence when two of its own instances, in one
+    iteration of every loop around it, touch one cell and one of them
+    writes it.  One trace answers for every loop asked about.  It wraps
+    ``nest`` in the enclosing loops whose variables can change the
+    answer (:func:`_wrappers`); the other enclosing variables stay
+    pinned, like any free symbol.  Loops :func:`_own_cells` proves
+    independent need no trace.  A nest that needs wrapping is also
+    traced alone, every enclosing variable pinned at the trace size, and
+    a dependence either trace shows counts: the wrapped trace runs an
+    enclosing tile loop whose step exceeds the trace size once or not at
+    all, so the pinned trace samples values it misses.  Memoized
+    alongside :func:`analyze_dependences`.
+    """
+    loops = [loop for loop, _ in _depths([nest], 0)]
+    asked = tuple(
+        i
+        for i, loop in enumerate(loops)
+        if (among is None or any(loop is x for x in among)) and not _own_cells(loop)
+    )
+    if not asked:
+        return set()
+    wrappers = _wrappers(nest, enclosing)
+    body: List[Node] = [nest]
+    for loop in reversed(wrappers):
+        body = [Loop(loop.var, loop.lower, loop.upper, body, label=loop.label, step=loop.step)]
+
+    def trace() -> frozenset:
+        carrying = _trace_carrying(body, len(wrappers), asked)
+        return carrying | _trace_carrying([nest], 0, asked) if wrappers else carrying
+
+    positions = _memoized(body, ("carrying", len(wrappers), asked), trace)
+    return {loops[i] for i in positions}
+
+
+def _trace_carrying(
+    body: Sequence[Node], wrappers: int, asked: Sequence[int], default_size: int = 6
+) -> frozenset:
+    """Which of the ``asked`` pre-order positions hold a loop that
+    carries a dependence in the nest under ``wrappers`` single-loop
+    shells of ``body``.
+
+    Rather than pairing accesses, it groups each loop's accesses by cell
+    and by the values of the loops around it: the loop carries a
+    dependence exactly when a group holding a write spans two of its
+    values.
+    """
+    nest = body
+    for _ in range(wrappers):
+        nest = nest[0].body
+    blocks = _instances(body, None, default_size)
+    refs = _reference_columns(blocks)
+    if not refs:
+        return frozenset()
+    # One matrix per reference, a row each: its (array, rank) code, its
+    # indices zero-padded to the highest rank, then its loop values.
+    width = 1 + max(len(columns) for *_, columns in refs)
+    arrays: Dict[Tuple[str, int], int] = {}
+    rows = []
+    for b, array, _, columns in refs:
+        blk = blocks[b]
+        matrix = np.zeros((width + len(blk.loops), blk.n), dtype=np.int64)
+        matrix[0] = arrays.setdefault((array, len(columns)), len(arrays))
+        for row, column in enumerate(columns, 1):
+            matrix[row] = column
+        for row, (_, values) in enumerate(blk.loops, width):
+            matrix[row] = values
+        rows.append(matrix)
+    carrying = set()
+    for position, (loop, depth) in enumerate(_depths(nest, wrappers)):
+        if position not in asked:
+            continue
+        inside = {id(stmt) for stmt in _collect_statements(loop.body)}
+        picked = [r for r, (b, *_) in enumerate(refs) if id(blocks[b].stmt) in inside]
+        if not any(refs[r][2] for r in picked):
+            continue
+        # group by cell, then by the values of the loops around this one
+        accesses = np.concatenate([rows[r][: width + depth + 1] for r in picked], axis=1)
+        writes = np.repeat([refs[r][2] for r in picked], [blocks[refs[r][0]].n for r in picked])
+        order = np.lexsort(accesses[width + depth - 1 :: -1])
+        accesses, writes = accesses[:, order], writes[order]
+        value = accesses[-1]
+        starts = np.flatnonzero(np.any(accesses[:-1, 1:] != accesses[:-1, :-1], axis=0)) + 1
+        starts = np.concatenate(([0], starts))
+        spread = np.minimum.reduceat(value, starts) != np.maximum.reduceat(value, starts)
+        if np.any(spread & np.logical_or.reduceat(writes, starts)):
+            carrying.add(position)
+    return frozenset(carrying)
+
+
+def _wrappers(nest: Loop, enclosing: Sequence[Loop]) -> List[Loop]:
+    """The enclosing loops a trace of ``nest`` must enumerate.
+
+    Those whose variable a bound in the nest uses (the trip counts
+    change with it), or that one array's references scale unequally
+    where one of them is a write (the cells' overlap changes with it),
+    plus, transitively, the loops their own bounds use.  A variable that
+    shifts every reference to an array equally cannot change which
+    instances meet, so it stays pinned and the trace stays small.  Guard
+    predicates are not listed: the trace runs both branches without
+    evaluating them.
+    """
+    outer = [loop.var for loop in enclosing]
+    needed: Set[str] = set()
+    refs: Dict[str, List[Tuple[ArrayRef, bool]]] = {}
+    for node in walk([nest]):
+        if isinstance(node, Loop):
+            needed |= _bound_vars(node)
+        elif isinstance(node, Assign):
+            for is_write, group in ((False, node.reads()), (True, node.writes())):
+                for ref in group:
+                    refs.setdefault(ref.array, []).append((ref, is_write))
+    for group in refs.values():
+        if any(is_write for _, is_write in group):
+            for var in outer:
+                scales = {tuple(index.coeff(var) for index in ref.indices) for ref, _ in group}
+                if len(scales) > 1:
+                    needed.add(var)
+    for loop in reversed(enclosing):
+        if loop.var in needed:
+            needed |= _bound_vars(loop)
+    return [loop for loop in enclosing if loop.var in needed]
+
+
+def _own_cells(loop: Loop) -> bool:
+    """Whether each iteration of ``loop`` provably touches its own cells
+    of every array written inside it, so it carries no dependence.
+
+    True when each such array is referenced inside the loop through one
+    index tuple, with a subscript that moves with the loop's variable
+    and with no loop inside it: two iterations in one iteration of the
+    loops around it then differ in that subscript.
+    """
+    inner = {child.var for child in iter_loops(loop.body)}
+    indices: Dict[str, Set[Tuple]] = {}
+    statements = _collect_statements(loop.body)
+    for stmt in statements:
+        for ref in stmt.all_refs():
+            indices.setdefault(ref.array, set()).add(ref.indices)
+    for array in {stmt.target.array for stmt in statements}:
+        if len(indices[array]) > 1:
+            return False
+        (subscripts,) = indices[array]
+        if not any(
+            index.coeff(loop.var) and not (index.free_vars() & inner) for index in subscripts
+        ):
+            return False
+    return True
+
+
+def _bound_vars(loop: Loop) -> Set[str]:
+    return set(loop.lower.free_vars()) | set(loop.upper.free_vars())
+
+
+def _depths(body: Sequence[Node], depth: int):
+    """``(loop, depth)`` for every loop in ``body``, whose own loops sit
+    at ``depth``."""
+    for node in body:
+        if isinstance(node, Loop):
+            yield node, depth
+            yield from _depths(node.body, depth + 1)
+        elif isinstance(node, Guard):
+            yield from _depths(node.body + node.else_body, depth)
 
 
 def fusion_legal(

@@ -12,12 +12,19 @@ ordinary Python source:
   as integer arithmetic over local variables;
 * array subscripts become direct NumPy indexing expressions;
 * guards become ``if``/``else`` with the predicate inlined;
-* innermost loops are **vectorized into NumPy slice operations** when
-  :func:`repro.ir.dependence.carries_dependence` proves the loop carries
-  no dependence (the same PolyDeps-style oracle the composer's filter
-  trusts) — elementwise slice arithmetic in NumPy is bit-identical to the
-  scalar loop because the per-element float operations are the same IEEE
-  operations in the same order.
+* one loop per nest is **vectorized into NumPy slice operations**: its
+  whole body is lowered once over slices along the loop variable, with
+  nested loops and guards left native.  Legal when the body slices
+  along the variable and :func:`repro.ir.dependence.carrying_loops`
+  proves the loop carries no dependence for any value of the loops
+  around it (the same PolyDeps-style oracle the composer's filter
+  trusts); elementwise slice arithmetic in NumPy is bit-identical to
+  the scalar loop because the per-element float operations are the
+  same IEEE operations in the same order.  In a sequential nest (no
+  loop in, around or below it mapped to the grid, e.g. a BLAS3
+  reference routine) the deepest legal loop is chosen, so reductions
+  stay serial.  A loop in a thread-mapped region slices only a flat
+  body of statements or one loop of them (DESIGN.md §9 says why).
 
 The lowered source is ``exec``'d into a callable of signature
 ``fn(buffers, sizes, scalars, flags)`` that mutates ``buffers`` in place,
@@ -37,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.affine import AffineExpr, MaxExpr, MinExpr
 from ..ir.ast import (
@@ -60,8 +67,9 @@ from ..ir.ast import (
     Recip,
     ScalarRef,
 )
-from ..ir.dependence import carries_dependence
+from ..ir.dependence import carrying_loops
 from ..ir.fingerprint import UnsupportedIR, computation_fingerprint
+from ..ir.visitors import iter_loops, walk
 
 __all__ = [
     "UnsupportedIR",
@@ -103,6 +111,7 @@ class _Lowerer:
         self._scalars: Dict[str, str] = {}
         self._free: Set[str] = set()  # env vars read before any loop binds them
         self.vectorized_loops = 0
+        self._sequential: Dict[int, bool] = {}  # id(loop) -> slice axis?
 
     # -- small emission helpers ---------------------------------------
     def tmp(self, prefix: str = "t") -> str:
@@ -218,15 +227,22 @@ class _Lowerer:
         target = self.ref_code(node.target, bound, vec, depth)
         self.line(depth, f"{target} {node.op} {value}")
 
-    def emit_body(self, body: Sequence[Node], bound: Set[str], depth: int) -> None:
+    def emit_body(
+        self,
+        body: Sequence[Node],
+        bound: Set[str],
+        depth: int,
+        outer: Tuple[Loop, ...] = (),
+        vec: Optional["_VecCtx"] = None,
+    ) -> None:
         emitted = False
         for node in body:
             if isinstance(node, Assign):
-                self.emit_assign(node, bound, depth)
+                self.emit_assign(node, bound, depth, vec)
             elif isinstance(node, Loop):
-                self.emit_loop(node, bound, depth)
+                self.emit_loop(node, bound, depth, outer, vec)
             elif isinstance(node, Guard):
-                self.emit_guard(node, bound, depth)
+                self.emit_guard(node, bound, depth, outer, vec)
             elif isinstance(node, Barrier):
                 continue  # no-op in sequential semantics, same as interpret
             else:
@@ -235,142 +251,169 @@ class _Lowerer:
         if not emitted:
             self.line(depth, "pass")
 
-    def emit_guard(self, node: Guard, bound: Set[str], depth: int) -> None:
+    def emit_guard(
+        self,
+        node: Guard,
+        bound: Set[str],
+        depth: int,
+        outer: Tuple[Loop, ...],
+        vec: Optional["_VecCtx"],
+    ) -> None:
         self.line(depth, f"if {self.pred_code(node.cond, bound)}:")
-        self.emit_body(node.body, bound, depth + 1)
+        self.emit_body(node.body, bound, depth + 1, outer, vec)
         if node.else_body:
             self.line(depth, "else:")
-            self.emit_body(node.else_body, bound, depth + 1)
+            self.emit_body(node.else_body, bound, depth + 1, outer, vec)
 
-    def emit_loop(self, node: Loop, bound: Set[str], depth: int) -> None:
+    def emit_loop(
+        self,
+        node: Loop,
+        bound: Set[str],
+        depth: int,
+        outer: Tuple[Loop, ...],
+        vec: Optional["_VecCtx"],
+    ) -> None:
+        """Emit ``node`` as a native loop, or, when it is the slice axis
+        (:meth:`_slice_axis`), as its body once over NumPy slices.
+        Inside a slice axis (``vec`` set) every loop is native."""
         lo = self.tmp("lo")
         hi = self.tmp("hi")
         self.line(depth, f"{lo} = {self.bound_code(node.lower, bound)}")
         self.line(depth, f"{hi} = {self.bound_code(node.upper, bound)}")
-        if self._try_vectorize(node, lo, hi, bound, depth):
-            self.vectorized_loops += 1
-            return
-        var = self.env_name(node.var, bound | {node.var})
-        rng = f"range({lo}, {hi}, {node.step})"
-        if self.thread_order == "desc" and node.mapped_to in THREAD_DIMS:
-            rng = f"reversed({rng})"
-        self.line(depth, f"for {var} in {rng}:")
         was_bound = node.var in bound
-        bound.add(node.var)
-        self.emit_body(node.body, bound, depth + 1)
+        if vec is None and self._slice_axis(node, outer):
+            self.vectorized_loops += 1
+            n = self.tmp("n")
+            self.line(depth, f"{n} = max(0, -(-({hi} - {lo}) // {node.step}))")
+            bound.add(node.var)
+            self.emit_body(node.body, bound, depth, vec=_VecCtx(node.var, lo, n, node.step))
+        else:
+            var = self.env_name(node.var, bound | {node.var})
+            rng = f"range({lo}, {hi}, {node.step})"
+            if self.thread_order == "desc" and node.mapped_to in THREAD_DIMS:
+                rng = f"reversed({rng})"
+            self.line(depth, f"for {var} in {rng}:")
+            bound.add(node.var)
+            self.emit_body(node.body, bound, depth + 1, outer + (node,), vec)
         if not was_bound:
             bound.discard(node.var)
 
     # -- vectorization ---------------------------------------------------
-    def _try_vectorize(
-        self, node: Loop, lo: str, hi: str, bound: Set[str], depth: int
-    ) -> bool:
-        """Turn the loop over ``node.var`` into NumPy slice assignments.
+    def _slice_axis(self, node: Loop, outer: Tuple[Loop, ...]) -> bool:
+        """Whether ``node`` becomes a slice axis over its whole body.
 
-        Two shapes compile:
+        Its body must slice along ``node.var`` (:func:`_sliceable_body`)
+        and the loop must carry no dependence inside the ``outer`` loops
+        (:func:`carrying_loops`).  Lowering the body once over the slice
+        runs ``node`` innermost; with no dependence between its
+        iterations, each element sees the same float operations in the
+        same order as the scalar loop, so results stay bit-identical.
 
-        * a flat body of ``Assign`` statements — the classic innermost
-          vectorization; and
-        * a body that is a single nested ``Loop`` whose own body is flat
-          ``Assign`` statements (the register-tile-over-reduction shape
-          ``for b: for k: C[b] += ...``) — lowered by *interchange*: the
-          inner loop is emitted scalar and the outer one becomes the
-          slice axis.  Each element's accumulation order over the inner
-          variable is untouched, so results stay bit-identical.
-
-        Legality for both: every statement's target strides along
-        ``node.var`` (a var-invariant target is a reduction whose
-        sequential order must be preserved), every reference maps to a
-        slice, and :func:`carries_dependence` proves the loop carries no
-        dependence — which also makes the interchange order-preserving
-        per element.
+        In a **sequential** nest (no loop in it, around it or below it is
+        mapped to the grid) the deepest such loop is chosen: one trace
+        decides every loop of the nest when its outermost loop is reached.
+        A loop in a thread-mapped region slices only a flat body of
+        statements or a single loop of statements (lowered by
+        interchange); the ROADMAP's SIMT item owns those regions.
         """
-        stmts: List[Assign] = []
-        inner: Optional[Loop] = None
-        for child in node.body:
-            if isinstance(child, Barrier):
-                continue
-            if isinstance(child, Assign):
-                stmts.append(child)
-            elif isinstance(child, Loop) and inner is None and not stmts:
-                inner = child
-            else:
-                return False
-        if inner is not None:
-            if stmts:
-                return False  # mixed loop + statements: keep scalar
-            for child in inner.body:
-                if isinstance(child, Barrier):
-                    continue
-                if not isinstance(child, Assign):
-                    return False
-                stmts.append(child)
-            # Interchange needs the inner bounds to be node.var-invariant.
-            for b in (inner.lower, inner.upper):
-                try:
-                    if node.var in b.free_vars():
-                        return False
-                except AttributeError:
-                    return False
-        if not stmts:
-            return False
-        for stmt in stmts:
-            if not self._sliceable(stmt.target, node.var, require_dep=True):
-                return False
-            for ref in stmt.expr.array_refs():
-                if not self._sliceable(ref, node.var, require_dep=False):
-                    return False
-        try:
-            # Legality: the loop must carry no dependence (PolyDeps role).
-            if carries_dependence([node], 0):
-                return False
-        except Exception:
-            return False  # undecidable shapes stay on the scalar loop
+        if node.mapped_to is None and not any(loop.mapped_to for loop in outer):
+            if id(node) not in self._sequential:
+                self._sequential.update(_plan_sequential(node, outer))
+            if id(node) in self._sequential:
+                return self._sequential[id(node)]
+        return (
+            _thread_region_shape(node)
+            and _sliceable_body(node)
+            and not _carrying(node, outer, [node])
+        )
 
-        n = self.tmp("n")
-        self.line(depth, f"{n} = max(0, -(-({hi} - {lo}) // {node.step}))")
-        vec = _VecCtx(node.var, lo, n, node.step)
-        was_bound = node.var in bound
-        bound.add(node.var)
-        body_depth = depth
-        inner_was_bound = False
-        if inner is not None:
-            ilo = self.tmp("lo")
-            ihi = self.tmp("hi")
-            self.line(depth, f"{ilo} = {self.bound_code(inner.lower, bound)}")
-            self.line(depth, f"{ihi} = {self.bound_code(inner.upper, bound)}")
-            ivar = self.env_name(inner.var, bound | {inner.var})
-            rng = f"range({ilo}, {ihi}, {inner.step})"
-            if self.thread_order == "desc" and inner.mapped_to in THREAD_DIMS:
-                rng = f"reversed({rng})"
-            self.line(depth, f"for {ivar} in {rng}:")
-            inner_was_bound = inner.var in bound
-            bound.add(inner.var)
-            body_depth = depth + 1
-        for stmt in stmts:
-            self.emit_assign(stmt, bound, body_depth, vec)
-        if inner is not None and not inner_was_bound:
-            bound.discard(inner.var)
-        if not was_bound:
-            bound.discard(node.var)
-        return True
 
-    @staticmethod
-    def _sliceable(ref: ArrayRef, var: str, require_dep: bool) -> bool:
-        dep_dims = 0
-        for index in ref.indices:
-            if not isinstance(index, AffineExpr):
+def _plan_sequential(root: Loop, outer: Tuple[Loop, ...]) -> Dict[int, bool]:
+    """Slice-axis decisions for every loop of ``root``'s nest, keyed by
+    ``id``; empty when a loop in it is mapped (not a sequential nest)."""
+    loops = list(iter_loops([root]))
+    if any(loop.mapped_to is not None for loop in loops):
+        return {}
+    candidates = [loop for loop in loops if _sliceable_body(loop)]
+    legal: Set[int] = set()
+    if candidates:
+        carrying = _carrying(root, outer, candidates)
+        legal = {id(loop) for loop in candidates if loop not in carrying}
+    return {
+        id(loop): id(loop) in legal
+        and not any(id(inner) in legal for inner in iter_loops(loop.body))
+        for loop in loops
+    }
+
+
+def _thread_region_shape(node: Loop) -> bool:
+    """Whether ``node``'s body is statements only, or a single loop whose
+    body is statements only (barriers aside): the shapes a loop in a
+    thread-mapped region may slice."""
+    kids = [child for child in node.body if not isinstance(child, Barrier)]
+    if len(kids) == 1 and isinstance(kids[0], Loop):
+        kids = [child for child in kids[0].body if not isinstance(child, Barrier)]
+    return bool(kids) and all(isinstance(child, Assign) for child in kids)
+
+
+def _carrying(nest: Loop, outer: Tuple[Loop, ...], among: List[Loop]) -> Set[Loop]:
+    try:
+        return carrying_loops(nest, outer, among)
+    except (KeyError, TypeError):  # an unbound name or an untraceable node
+        return set(among)  # stays scalar
+
+
+def _sliceable_body(node: Loop) -> bool:
+    """Whether ``node``'s body lowers once over slices along its variable.
+
+    Every statement's target strides along it (a var-invariant target is
+    a reduction whose sequential order must be preserved) and every
+    reference maps to a slice; no nested loop rebinds it or uses it in a
+    bound, and no guard tests it.  At least one statement.
+    """
+    var = node.var
+    statements = 0
+    for child in walk(node.body):
+        if isinstance(child, Assign):
+            if not _sliceable(child.target, var, require_dep=True):
                 return False
-            coeff = index.coeff(var)
-            if coeff < 0:
-                return False  # negative stride slices flip index meaning
-            if coeff > 0:
-                dep_dims += 1
-        if dep_dims > 1:
-            return False  # e.g. A[v][v]: a diagonal, not a slice
-        if require_dep and dep_dims == 0:
+            if not all(_sliceable(ref, var, require_dep=False) for ref in child.expr.array_refs()):
+                return False
+            statements += 1
+        elif isinstance(child, Loop):
+            if child.var == var or var in child.lower.free_vars() | child.upper.free_vars():
+                return False
+        elif isinstance(child, Guard):
+            if var in _pred_vars(child.cond):
+                return False
+        elif not isinstance(child, Barrier):
             return False
-        return True
+    return statements > 0
+
+
+def _pred_vars(pred: Predicate) -> Set[str]:
+    if isinstance(pred, Cmp):
+        return set(pred.lhs.free_vars()) | set(pred.rhs.free_vars())
+    if isinstance(pred, And):
+        return set().union(*(_pred_vars(p) for p in pred.operands))
+    return set()
+
+
+def _sliceable(ref: ArrayRef, var: str, require_dep: bool) -> bool:
+    dep_dims = 0
+    for index in ref.indices:
+        if not isinstance(index, AffineExpr):
+            return False
+        coeff = index.coeff(var)
+        if coeff < 0:
+            return False  # negative stride slices flip index meaning
+        if coeff > 0:
+            dep_dims += 1
+    if dep_dims > 1:
+        return False  # e.g. A[v][v]: a diagonal, not a slice
+    if require_dep and dep_dims == 0:
+        return False
+    return True
 
 
 class _VecCtx:

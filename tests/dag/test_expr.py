@@ -163,3 +163,11 @@ class TestReference:
         t = a.astype(np.float64) @ b.astype(np.float64)
         expect = np.linalg.solve(np.tril(low).astype(np.float64), t)
         np.testing.assert_allclose(out, expect, rtol=1e-10)
+
+    def test_disagreeing_shapes_raise_before_any_node_runs(self):
+        # L is 6x6 but the GEMM node's output has 8 rows: the DAG's own
+        # shape check names the node, before any reference call runs.
+        dag = Dag(gemm_trsm_chain())
+        arrays = {"A": np.ones((8, 4)), "B": np.ones((4, 6)), "L": np.eye(6)}
+        with pytest.raises(ValueError, match="node 1: TRSM-LL-N: dimension M"):
+            dag.reference(arrays)

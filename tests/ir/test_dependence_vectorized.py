@@ -1,11 +1,13 @@
-"""The array-shaped dependence trace equals the scalar trace it replaced.
+"""The array-shaped dependence traces equal the scalar trace.
 
 :func:`scalar_dependences` below is the original tracer, kept here as
 the reference: it walks every statement instance in Python, records one
 object per access, and compares every pair of accesses to one cell.
 :func:`repro.ir.dependence._trace_dependences` must return exactly its
-sorted :class:`Dependence` list, both on every body the tuner really
-traces (:func:`record_traced_bodies`) and on random small nests.
+sorted :class:`Dependence` list, and
+:func:`repro.ir.dependence._trace_carrying` exactly the loops
+:func:`scalar_carrying` derives from it, both on every body the tuner
+really traces (:func:`record_traced_bodies`) and on random small nests.
 """
 
 from __future__ import annotations
@@ -20,16 +22,23 @@ from repro import jit
 from repro.blas3.naming import ALL_VARIANTS, BATCHED_VARIANTS
 from repro.gpu import GTX_285
 from repro.ir import dependence
-from repro.ir.affine import AffineExpr, MaxExpr, MinExpr
-from repro.ir.ast import ArrayRef, Assign, Barrier, BinOp, Cmp, Const, Guard, Loop
+from repro.ir.affine import AffineExpr
+from repro.ir.ast import ArrayRef, Assign, Barrier, Const, Guard, Loop
 from repro.ir.dependence import (
     Dependence,
     _collect_statements,
+    _depths,
     _free_symbols,
     _loop_vars,
+    _trace_carrying,
     _trace_dependences,
+    carrying_loops,
 )
+from repro.ir.fingerprint import encode_body
+from repro.jit import lower as jit_lower
 from repro.tuner import LibraryGenerator, TuningOptions
+
+from ..nest_strategies import lower, nests, nodes, upper
 
 # ---------------------------------------------------------------------------
 # The scalar reference tracer
@@ -121,6 +130,30 @@ def scalar_dependences(body, sizes, default_size) -> List[Dependence]:
     return sorted(deps, key=lambda d: (d.array, d.kind, d.src, d.dst, d.direction))
 
 
+def scalar_carrying(body, wrappers, asked, default_size=6) -> frozenset:
+    """Which ``asked`` pre-order positions of the nest under ``wrappers``
+    single-loop shells of ``body`` hold a loop that carries a dependence:
+    one whose statements are both inside the loop, with "=" on every loop
+    around it and not on the loop itself."""
+    deps = scalar_dependences(body, None, default_size)
+    index = {id(stmt): i for i, stmt in enumerate(_collect_statements(body))}
+    nest = body
+    for _ in range(wrappers):
+        nest = nest[0].body
+    carrying = set()
+    for position, (loop, depth) in enumerate(_depths(nest, wrappers)):
+        inside = {index[id(stmt)] for stmt in _collect_statements(loop.body)}
+        if position in asked and any(
+            dep.src in inside
+            and dep.dst in inside
+            and dep.direction[depth] != "="
+            and set(dep.direction[:depth]) <= {"="}
+            for dep in deps
+        ):
+            carrying.add(position)
+    return frozenset(carrying)
+
+
 # ---------------------------------------------------------------------------
 # Every body the tuner traces
 # ---------------------------------------------------------------------------
@@ -135,19 +168,33 @@ SERVE_SPACE = (
 SERVE_ROUTINES = ("BGEMM-NN", "SYMM-LL", "TRSM-LL-N", "GEMM-NN")
 
 
-def record_traced_bodies():
+def record_traced_bodies(carrying=None):
     """``[(body, sizes, default_size)]`` for every memo miss of the
     dependence oracle while generating all 28 routines on the GTX 285
-    (curated space), then the serve space's plans at N=16."""
+    (curated space), then the serve space's plans at N=16.  A dict passed
+    as ``carrying`` collects every distinct question the JIT's slice
+    legality asks :func:`carrying_loops`, as ``(body, wrappers, asked)``
+    (:func:`wrapped`) mapped to the answer's positions."""
     recorded = []
-    trace = dependence._trace_dependences
+    trace, asking = dependence._trace_dependences, jit_lower.carrying_loops
 
     def recording(body, sizes, default_size):
         recorded.append(([node.clone() for node in body], sizes, default_size))
         return trace(body, sizes, default_size)
 
+    def recording_carrying(nest, enclosing=(), among=None):
+        answer = asking(nest, enclosing, among)
+        loops = [loop for loop, _ in _depths([nest], 0)]
+        asked = tuple(i for i, loop in enumerate(loops) if any(loop is x for x in among))
+        body, wrappers = wrapped(nest, enclosing)
+        key = (encode_body(body), wrappers, asked)
+        carrying[key] = (body, wrappers, asked), {i for i, loop in enumerate(loops) if loop in answer}
+        return answer
+
     jit.clear_cache()  # empties the oracle's memo too
     dependence._trace_dependences = recording
+    if carrying is not None:
+        jit_lower.carrying_loops = recording_carrying
     try:
         curated = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1))
         for variant in ALL_VARIANTS + BATCHED_VARIANTS:
@@ -159,103 +206,53 @@ def record_traced_bodies():
             serve.generate(name)
     finally:
         dependence._trace_dependences = trace
+        jit_lower.carrying_loops = asking
         jit.clear_cache()
     return recorded
 
 
+def wrapped(nest, enclosing):
+    """A clone of ``nest`` in clones of the enclosing loops
+    :func:`carrying_loops` wraps it in, and how many those are."""
+    wrappers = dependence._wrappers(nest, enclosing)
+    body = [nest.clone()]
+    for loop in reversed(wrappers):
+        body = [Loop(loop.var, loop.lower, loop.upper, body, step=loop.step)]
+    return body, len(wrappers)
+
+
+def scalar_carrying_loops(body, wrappers, asked) -> frozenset:
+    """What :func:`carrying_loops` answers, from the scalar trace alone:
+    the loops the wrapped trace shows carrying, and when there are
+    wrappers, those a trace of the nest alone shows."""
+    found = scalar_carrying(body, wrappers, asked)
+    if not wrappers:
+        return found
+    nest = body
+    for _ in range(wrappers):
+        nest = nest[0].body
+    return found | scalar_carrying(nest, 0, asked)
+
+
 @pytest.fixture(scope="module")
 def traced_bodies():
-    return record_traced_bodies()
+    carrying = {}
+    return record_traced_bodies(carrying), list(carrying.values())
 
 
 def test_every_traced_body_matches_the_scalar_trace(traced_bodies):
-    assert len(traced_bodies) > 100
-    for index, (body, sizes, default_size) in enumerate(traced_bodies):
+    pairs, carrying = traced_bodies
+    assert len(pairs) + len(carrying) > 100
+    for index, (body, sizes, default_size) in enumerate(pairs):
         expected = scalar_dependences(body, sizes, default_size)
         assert _trace_dependences(body, sizes, default_size) == expected, index
+    for index, (question, answer) in enumerate(carrying):
+        assert answer == scalar_carrying_loops(*question), index
 
 
 # ---------------------------------------------------------------------------
 # Random small nests
 # ---------------------------------------------------------------------------
-
-ARRAYS = {"A": 1, "B": 2, "C": 3}  # name -> rank
-LOOP_VARS = ("i", "j", "tx")  # siblings may reuse a name, as tx/ty do across phases
-SIZES = ("M", "N")
-
-
-def _affine(draw, names, lo=-1, hi=2):
-    terms = {}
-    for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)) if names else ():
-        terms[name] = draw(st.integers(lo, hi))
-    return AffineExpr(terms, draw(st.integers(-1, 2)))
-
-
-def _lower(draw, outer):
-    choice = draw(st.integers(0, 2 if outer else 0))
-    if choice == 0:
-        return AffineExpr.constant(draw(st.integers(0, 2)))
-    inner = AffineExpr({draw(st.sampled_from(outer)): 1}, draw(st.integers(-1, 1)))
-    if choice == 1:
-        return inner  # triangular
-    return MaxExpr((AffineExpr.constant(draw(st.integers(0, 1))), inner))
-
-
-def _upper(draw, outer):
-    choice = draw(st.integers(0, 3 if outer else 1))
-    if choice == 0:
-        return AffineExpr.constant(draw(st.integers(0, 4)))  # 0 trips included
-    if choice == 1:
-        return AffineExpr.variable(draw(st.sampled_from(SIZES)))
-    inner = AffineExpr({draw(st.sampled_from(outer)): 1}, draw(st.integers(0, 2)))
-    if choice == 2:
-        return inner  # triangular
-    return MinExpr((inner, AffineExpr.variable(draw(st.sampled_from(SIZES)))))
-
-
-def _ref(draw, outer):
-    array = draw(st.sampled_from(sorted(ARRAYS)))
-    return ArrayRef(array, [_affine(draw, outer) for _ in range(ARRAYS[array])])
-
-
-def _assign(draw, outer):
-    target = _ref(draw, outer)
-    operands = [_ref(draw, outer) for _ in range(draw(st.integers(0, 2)))]
-    if draw(st.booleans()):
-        operands.append(target.clone())  # reads and writes one cell
-    expr = Const(2.0)
-    for operand in operands:
-        expr = BinOp("*", expr, operand)
-    return Assign(target, expr, draw(st.sampled_from(Assign.OPS)))
-
-
-def _nodes(draw, outer, depth):
-    out = []
-    for _ in range(draw(st.integers(1, 3))):
-        kinds = ("loop", "loop", "assign", "guard", "barrier") if depth else ("assign",)
-        kind = draw(st.sampled_from(kinds))
-        if kind == "assign":
-            out.append(_assign(draw, outer))
-        elif kind == "barrier":
-            out.append(Barrier())
-        elif kind == "guard":
-            cond = Cmp(_affine(draw, outer), "<", _affine(draw, outer))
-            else_body = _nodes(draw, outer, depth - 1) if draw(st.booleans()) else []
-            out.append(Guard(cond, _nodes(draw, outer, depth - 1), else_body))
-        else:
-            var = draw(st.sampled_from([v for v in LOOP_VARS if v not in outer]))
-            lower, upper = _lower(draw, outer), _upper(draw, outer)
-            body = _nodes(draw, outer + [var], depth - 1)
-            out.append(Loop(var, lower, upper, body, step=draw(st.integers(1, 3))))
-    return out
-
-
-@st.composite
-def nests(draw):
-    body = _nodes(draw, [], 3)
-    sizes = {name: draw(st.integers(0, 4)) for name in SIZES if draw(st.booleans())}
-    return body, sizes, draw(st.integers(1, 4))
-
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(nest=nests())
@@ -287,3 +284,46 @@ def test_shadowed_loop_compares_the_innermost_source_loop():
     deps = _trace_dependences(body, None, 6)
     assert deps == scalar_dependences(body, None, 6)
     assert any(len(d.direction) == 2 and d.src == d.dst == 1 for d in deps)
+
+
+# ---------------------------------------------------------------------------
+# Loops that carry a dependence
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def enclosed_nests(draw):
+    """``(nest, enclosing)``: a loop nest inside 0-2 single-loop shells
+    whose variables its bounds, guards and indices use."""
+    names = ["w0", "w1"][: draw(st.integers(0, 2))]
+    nest = Loop("n", lower(draw, names), upper(draw, names), nodes(draw, names + ["n"], 2))
+    enclosing = []
+    for depth, name in enumerate(names):
+        enclosing.append(Loop(name, lower(draw, names[:depth]), upper(draw, names[:depth]), []))
+    for shell, inner in zip(enclosing, enclosing[1:] + [nest]):
+        shell.body = [inner]
+    return nest, enclosing
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=enclosed_nests())
+def test_random_wrapped_nests_match_the_scalar_carrying(case):
+    nest, enclosing = case
+    loops = [loop for loop, _ in _depths([nest], 0)]
+    body, every = enclosing[:1] or [nest], range(len(loops))
+    assert _trace_carrying(body, len(enclosing), every) == scalar_carrying(
+        body, len(enclosing), every
+    )
+    answer = {i for i, loop in enumerate(loops) if loop in carrying_loops(nest, enclosing)}
+    assert answer == scalar_carrying_loops(*wrapped(nest, enclosing), every)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=enclosed_nests())
+def test_pinned_enclosing_loops_never_hide_a_dependence(case):
+    """Wrapping only the enclosing loops that can change the answer finds
+    every loop that wrapping all of them finds."""
+    nest, enclosing = case
+    loops = [loop for loop, _ in _depths([nest], 0)]
+    everything = _trace_carrying(enclosing[:1] or [nest], len(enclosing), range(len(loops)))
+    assert {loops[i] for i in everything} <= carrying_loops(nest, enclosing)

@@ -1,0 +1,115 @@
+"""The JIT slices a loop only where no dependence can tell.
+
+Each loop that becomes a NumPy slice axis must carry no dependence for
+any value of the loops around it.  These tests check the compiled
+kernels against the interpreter with ``np.array_equal``:
+
+* two nests whose dependence shows only for some values of an enclosing
+  loop, run sequentially and inside a thread-mapped loop;
+* random nests whose enclosing variables appear in inner bounds, guards
+  and index offsets, under both thread orders;
+* every BLAS3 reference nest, which must also slice at least one loop.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import jit
+from repro.blas3 import build_routine
+from repro.blas3.naming import ALL_VARIANTS, BATCHED_VARIANTS
+from repro.composer.oracle import make_inputs, oracle_sizes
+from repro.ir.affine import AffineExpr
+from repro.ir.ast import ArrayRef, Assign, BinOp, Loop
+from repro.ir.interpret import interpret
+from repro.tuner.library import LibraryGenerator
+
+from ..nest_strategies import EXTENT, SIZES, computation, nests
+
+i, j = AffineExpr.variable("i"), AffineExpr.variable("j")
+M = AffineExpr.variable("M")
+
+
+def shrinking_trip_count():
+    """``for i<M: for j<N: for k<M-i: A[j+1] += A[j]``: at i = M the
+    k loop runs zero times, yet j carries a flow dependence below it."""
+    stmt = Assign(ArrayRef("A", [j + 1]), ArrayRef("A", [j]), "+=")
+    return Loop("i", 0, "M", [Loop("j", 0, "N", [Loop("k", 0, M - i, [stmt])])])
+
+
+def shifting_overlap():
+    """``for i<M: for j<N: A[j+i+1] = A[j] + A[j+i+1]``: the references
+    overlap along j only for small i."""
+    target = ArrayRef("A", [j + i + 1])
+    stmt = Assign(target, BinOp("+", ArrayRef("A", [j]), target.clone()))
+    return Loop("i", 0, "M", [Loop("j", 0, "N", [stmt])])
+
+
+def run_both(body, sizes, thread_order="asc", seed=0):
+    comp = computation(body)
+    rng = np.random.default_rng(seed)
+    inputs = {
+        name: rng.random(tuple(EXTENT for _ in array.dims)).astype(np.float32)
+        for name, array in comp.arrays.items()
+    }
+    ref = interpret(comp, sizes, inputs, thread_order=thread_order)
+    got = jit.execute(comp, sizes, inputs, thread_order=thread_order)
+    return comp, ref, got
+
+
+@pytest.mark.parametrize("nest", [shrinking_trip_count, shifting_overlap])
+@pytest.mark.parametrize("mapped", [False, True], ids=["sequential", "thread-mapped"])
+def test_enclosing_loop_dependence_keeps_the_loop_scalar(nest, mapped):
+    body = [nest()]
+    if mapped:
+        body = [Loop("tx", 0, 2, body, mapped_to="thread.x")]
+    for order in ("asc", "desc"):
+        _, ref, got = run_both(body, {"M": 7, "N": 8}, order)
+        assert np.array_equal(ref["A"], got["A"]), order
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    nest=st.booleans().flatmap(lambda mapped: nests(nonnegative=True, mapped=mapped)),
+    sizes=st.fixed_dictionaries({name: st.integers(0, 5) for name in SIZES}),
+)
+def test_random_nests_match_the_interpreter(nest, sizes):
+    body, _, _ = nest
+    for order in ("asc", "desc"):
+        _, ref, got = run_both(body, sizes, order)
+        for name in ref:
+            # products of products can overflow to inf and then NaN; the
+            # same NaN in both is agreement
+            assert np.array_equal(ref[name], got[name], equal_nan=True), (order, name)
+
+
+REFERENCE_NESTS = [str(v) for v in ALL_VARIANTS + BATCHED_VARIANTS]
+
+
+@pytest.mark.parametrize("name", REFERENCE_NESTS)
+def test_reference_nest_is_sliced_and_bit_identical(name):
+    comp = build_routine(name)
+    kernel = jit.compile_computation(comp)
+    assert kernel is not None and kernel.vectorized_loops >= 1
+    oracle = oracle_sizes(comp, LibraryGenerator.VERIFY_CONFIG)
+    ragged = {symbol: 20 if symbol != "P" else 3 for symbol in comp.dim_symbols}
+    for sizes in (oracle, ragged):  # 20 is no multiple of a 16 or 8 tile
+        inputs = make_inputs(comp, sizes, seed=sum(sizes.values()))
+        ref = interpret(comp, sizes, inputs, {"alpha": 1.5, "beta": -0.5})
+        got = jit.execute(comp, sizes, inputs, {"alpha": 1.5, "beta": -0.5}, kernel=kernel)
+        for array in ref:
+            assert np.array_equal(ref[array], got[array]), (sizes, array)
+
+
+@pytest.mark.parametrize(
+    "name, native, sliced",
+    [("BGEMM-NN", "pik", "j"), ("TRSM-LL-N", "ik", "j"), ("TRMM-RU-N", "jk", "i")],
+)
+def test_sequential_nest_slices_its_deepest_legal_loop(name, native, sliced):
+    # BGEMM slices N, not the narrow batch P; the reductions over k stay
+    # native loops, so their float32 order is the interpreter's
+    source = jit.compile_computation(build_routine(name)).source
+    loops = set(re.findall(r"for v\d+_(\w+) in", source))
+    assert loops == set(native) and sliced not in loops
