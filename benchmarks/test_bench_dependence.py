@@ -1,14 +1,18 @@
-"""Benchmark: the array-shaped dependence trace against the scalar one.
+"""Benchmark: the grouping dependence predicates against the scalar pairs.
 
-Records every body the dependence oracle traces while generating all 28
-routines on the GTX 285 (curated space, then the serve space at N=16),
-and times both tracers over that corpus: the array-shaped
-:func:`repro.ir.dependence._trace_dependences` and the scalar reference
-kept in ``tests/ir/test_dependence_vectorized.py``.  It checks that
-both return the same dependence lists, that the array engine is at
-least 5x faster in total, and that one analysis of the largest body
-peaks under 2 MB of Python allocations (``tracemalloc``).  The record
-goes to ``BENCH_dependence.json``.
+Records every question the dependence analysis is asked while generating
+all 28 routines on the GTX 285 (curated space, then the serve space at
+N=16), fusing the chain edges and asking every interchange of the
+reference nests (``record_questions`` in
+``tests/ir/test_dependence_vectorized.py``), and answers each one with
+both engines: the grouping traces of :mod:`repro.ir.dependence`
+(:func:`~repro.ir.dependence._trace_carrying` per traced shell,
+:func:`~repro.ir.dependence._order_kept`) and the scalar references
+kept in that test file, which pair every two accesses to one cell.  It
+checks that both give the same answers, that the grouping engine is at
+least 5x faster in total, and that answering the largest question peaks
+under 2 MB of Python allocations (``tracemalloc``).  The record goes to
+``BENCH_dependence.json``.
 """
 
 import json
@@ -16,11 +20,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from repro.ir.dependence import _trace_dependences
+from repro.ir.dependence import _order_kept, _trace_carrying
 from tests.ir.test_dependence_vectorized import (
-    record_traced_bodies,
+    record_questions,
     scalar_accesses,
-    scalar_dependences,
+    scalar_carrying_loops,
+    scalar_order_kept,
 )
 
 from .conftest import emit
@@ -31,38 +36,62 @@ MIN_SPEEDUP = 5.0
 MAX_PEAK_BYTES = 2 << 20
 
 
-def trace_size(body, sizes, default_size):
-    """``(accesses, same-cell pairs with a write)`` of one trace."""
+def grouping_carrying(body, wrappers, asked):
+    """The grouping answer to one recorded :func:`carrying_loops`
+    question, over the shells :func:`scalar_carrying_loops` traces."""
+    found = _trace_carrying(body, wrappers, asked)
+    if not wrappers:
+        return found
+    nest = body
+    for _ in range(wrappers):
+        nest = nest[0].body
+    return found | _trace_carrying(nest, 0, asked)
+
+
+def trace_size(bodies):
+    """``(accesses, same-cell pairs with a write)`` of the traces of
+    ``bodies``."""
     accesses = pairs = 0
-    for cell in scalar_accesses(body, sizes, default_size).values():
-        reads = sum(not a.is_write for a in cell)
-        accesses += len(cell)
-        pairs += len(cell) * (len(cell) - 1) // 2 - reads * (reads - 1) // 2  # minus read-read
+    for body in bodies:
+        for cell in scalar_accesses(body).values():
+            reads = sum(not a.is_write for a in cell)
+            accesses += len(cell)
+            pairs += len(cell) * (len(cell) - 1) // 2 - reads * (reads - 1) // 2  # minus read-read
     return accesses, pairs
 
 
-def best_total(tracer, bodies):
-    """Least wall-clock seconds of one pass of ``tracer`` over ``bodies``,
-    and that pass's results."""
+def best_total(answer, questions):
+    """Least wall-clock seconds of one pass of ``answer`` over
+    ``questions``, and that pass's answers."""
     best, results = float("inf"), None
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        results = [tracer(*entry) for entry in bodies]
+        results = [answer(kind, args) for kind, args in questions]
         best = min(best, time.perf_counter() - t0)
     return best, results
 
 
-def test_bench_dependence():
-    bodies = record_traced_bodies()
-    sizes = [trace_size(*entry) for entry in bodies]
-    _trace_dependences(*bodies[0])  # first-call imports stay out of the timing
-    vector_s, vector = best_total(_trace_dependences, bodies)
-    scalar_s, scalar = best_total(scalar_dependences, bodies)
+def grouping(kind, args):
+    return grouping_carrying(*args) if kind == "carrying" else _order_kept(*args)
 
-    largest = max(range(len(bodies)), key=lambda i: sizes[i][0])
+
+def scalar(kind, args):
+    return scalar_carrying_loops(*args) if kind == "carrying" else scalar_order_kept(*args)
+
+
+def test_bench_dependence():
+    carrying, orders = record_questions()
+    questions = [("carrying", question) for question, _ in carrying]
+    questions += [("order", pair) for pair in orders]
+    sizes = [trace_size([args[0]] if kind == "carrying" else args) for kind, args in questions]
+    grouping(*questions[0])  # first-call imports stay out of the timing
+    grouping_s, fast = best_total(grouping, questions)
+    scalar_s, slow = best_total(scalar, questions)
+
+    largest = max(range(len(questions)), key=lambda i: sizes[i][0])
     tracemalloc.start()
     try:
-        _trace_dependences(*bodies[largest])
+        grouping(*questions[largest])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -70,26 +99,27 @@ def test_bench_dependence():
     record = {
         "arch": "GTX 285",
         "corpus": "28 routines, curated space; BGEMM-NN, SYMM-LL, TRSM-LL-N, GEMM-NN, "
-        "serve space at N=16",
+        "serve space at N=16; chain fusions; reference-nest interchanges",
         "clock": "host wall-clock, best of %d passes; counts are exact" % REPEATS,
-        "bodies": len(bodies),
+        "carrying_questions": len(carrying),
+        "order_questions": len(orders),
         "accesses": sum(a for a, _ in sizes),
         "pairs": sum(p for _, p in sizes),
         "scalar_s": scalar_s,
-        "vectorized_s": vector_s,
-        "speedup": scalar_s / vector_s,
-        "largest_body_accesses": sizes[largest][0],
-        "largest_body_pairs": sizes[largest][1],
-        "largest_body_peak_bytes": peak,
+        "grouping_s": grouping_s,
+        "speedup": scalar_s / grouping_s,
+        "largest_question_accesses": sizes[largest][0],
+        "largest_question_pairs": sizes[largest][1],
+        "largest_question_peak_bytes": peak,
     }
     BENCH_PATH.write_text(json.dumps(record, indent=1))
     emit(
-        f"dependence trace over {record['bodies']} bodies "
+        f"dependence questions: {len(carrying)} carrying, {len(orders)} reordering "
         f"({record['accesses']} accesses, {record['pairs']} pairs)\n"
-        f"scalar {scalar_s:.3f} s   vectorized {vector_s:.3f} s   "
+        f"scalar {scalar_s:.3f} s   grouping {grouping_s:.3f} s   "
         f"speed-up {record['speedup']:.1f}x\n"
-        f"largest body: {sizes[largest][0]} accesses, peak {peak / 1024:.0f} KiB"
+        f"largest question: {sizes[largest][0]} accesses, peak {peak / 1024:.0f} KiB"
     )
-    assert vector == scalar
+    assert fast == slow
     assert record["speedup"] >= MIN_SPEEDUP
     assert peak < MAX_PEAK_BYTES

@@ -29,10 +29,6 @@ class FilteredCandidate:
     candidate: ComposedScript
     result: TranslationResult
 
-    @property
-    def effective_components(self) -> List[str]:
-        return [inv.component for inv in self.result.applied]
-
 
 @dataclass
 class FilterReport:

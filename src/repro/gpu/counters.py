@@ -22,7 +22,7 @@ counts at warp granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 from ..codegen.analysis import AccessModel, KernelModel, LARGE_STRIDE
 from .arch import GPUArch
@@ -51,9 +51,6 @@ class ProfileCounters:
         for name in vars(out):
             setattr(out, name, getattr(self, name) + getattr(other, name))
         return out
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(vars(self))
 
 
 def transactions_per_group(arch: GPUArch, stride: int) -> float:

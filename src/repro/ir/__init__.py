@@ -7,7 +7,9 @@ Public surface:
 * :mod:`repro.ir.builder` — programmatic builders and the labeled-source
   parser used to write routines the way the paper prints them.
 * :mod:`repro.ir.printer` — C-like pretty printer.
-* :mod:`repro.ir.dependence` — PolyDeps-like dependence analysis.
+* :mod:`repro.ir.dependence` — PolyDeps-like dependence analysis: which
+  loops carry a dependence, and whether a reordering keeps each cell's
+  accesses in order.
 * :mod:`repro.ir.fingerprint` — label-free structural encoding (JIT and
   dependence-memo key).
 * :mod:`repro.ir.interpret` — sequential functional oracle.
@@ -46,16 +48,7 @@ from .builder import (
     parse_expr,
     parse_labeled_source,
 )
-from .dependence import (
-    Dependence,
-    analyze_dependences,
-    banerjee_test,
-    carries_dependence,
-    fusion_legal,
-    gcd_test,
-    interchange_legal,
-    may_alias,
-)
+from .dependence import carrying_loops, fusion_legal, interchange_legal
 from .interpret import allocate_arrays, interpret
 from .printer import print_body, print_computation, print_stage, print_stmt
 from .rename import rename_computation
@@ -102,13 +95,8 @@ __all__ = [
     "parse_expr",
     "parse_labeled_source",
     # dependence
-    "Dependence",
-    "analyze_dependences",
-    "banerjee_test",
-    "may_alias",
-    "carries_dependence",
+    "carrying_loops",
     "fusion_legal",
-    "gcd_test",
     "interchange_legal",
     # interpret
     "allocate_arrays",

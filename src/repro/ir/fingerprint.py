@@ -6,7 +6,7 @@ ones) encode identically; any change to a loop variable, bound, step,
 thread mapping, guard predicate, statement or operator encodes
 differently.  The encoding keys both the JIT's compiled-kernel registry
 (:func:`computation_fingerprint`) and the dependence oracle's memo
-(:func:`repro.ir.dependence.analyze_dependences`).
+(:func:`repro.ir.dependence.carrying_loops` and the reordering checks).
 """
 
 from __future__ import annotations

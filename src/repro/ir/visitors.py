@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .ast import Assign, Guard, Loop, Node, Stage
+from .ast import Assign, Guard, Loop, Node
 
 __all__ = [
     "walk",
@@ -136,7 +136,3 @@ def map_statements(body: List[Node], fn: Callable[[Assign], Assign]) -> None:
 
 def count_nodes(body: Sequence[Node]) -> int:
     return sum(1 for _ in walk(body))
-
-
-def stage_statements(stage: Stage) -> List[Assign]:
-    return list(iter_statements(stage.body))

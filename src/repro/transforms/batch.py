@@ -22,7 +22,7 @@ from typing import Dict, Sequence
 
 from ..ir.affine import var
 from ..ir.ast import Computation, Loop, fresh_label
-from ..ir.dependence import carries_dependence
+from ..ir.dependence import carrying_loops
 from .base import LOC_ANY, POOL_POLYHEDRAL, Transform, TransformError, TransformResult
 from .thread_grouping import _substitute_body
 from .util import require
@@ -58,7 +58,7 @@ class BatchGrid(Transform):
             "batch loop must start at 0",
         )
         require(
-            not carries_dependence(stage.body, 0),
+            not carrying_loops(loop_p, among=(loop_p,)),
             "batch loop must be parallel (independent problems)",
         )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.affine import AffineExpr, Bound, MaxExpr, MinExpr
-from ..ir.ast import Guard, Loop, Node
+from ..ir.ast import Loop
 from .base import TransformFailure
 
 __all__ = ["VarRange", "collect_var_ranges", "split_base_span", "max_over", "min_over"]
@@ -171,30 +171,3 @@ def max_over(expr: AffineExpr, local: Dict[str, VarRange]) -> AffineExpr:
 def min_over(expr: AffineExpr, local: Dict[str, VarRange]) -> AffineExpr:
     base, _span = split_base_span(expr, local)
     return base
-
-
-def enclosing_local_loops(root_body: Sequence[Node], target: Node) -> List[Loop]:
-    """Loops (in nesting order) between ``root_body`` and ``target``."""
-    path: List[Loop] = []
-
-    def rec(nodes: Sequence[Node], acc: List[Loop]) -> Optional[List[Loop]]:
-        for node in nodes:
-            if node is target:
-                return acc
-            if isinstance(node, Loop):
-                found = rec(node.body, acc + [node])
-                if found is not None:
-                    return found
-            elif isinstance(node, Guard):
-                found = rec(node.body, acc)
-                if found is not None:
-                    return found
-                found = rec(node.else_body, acc)
-                if found is not None:
-                    return found
-        return None
-
-    found = rec(root_body, [])
-    if found is None:
-        raise TransformFailure("target node not found under root")
-    return found

@@ -63,9 +63,8 @@ class LoopInterchange(Transform):
             and not inner.upper.depends_on(outer.var),
             "inner bounds depend on the outer variable (not rectangular)",
         )
-        depth = len(path) - 2
         require(
-            interchange_legal(stage.body, depth, depth + 1),
+            interchange_legal(outer, path[:-2]),
             "interchange violates a data dependence",
         )
         outer.var, inner.var = inner.var, outer.var

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence
 
 from ..ir.affine import var
 from ..ir.ast import Assign, Computation, Guard, Loop, Node, fresh_label
-from ..ir.dependence import carried_depths
+from ..ir.dependence import carrying_loops
 from ..ir.visitors import find_loop_path
 from .base import LOC_ANY, POOL_POLYHEDRAL, Transform, TransformError, TransformResult
 from .util import default_params, make_phase, require
@@ -83,7 +83,6 @@ class ThreadGrouping(Transform):
         # Descend through them: grouping then happens per batch problem.
         batch_labels = tuple(stage.meta.get("batch_labels", ()))
         host_body = stage.body
-        batch_depth = 0
         while (
             len(host_body) == 1
             and isinstance(host_body[0], Loop)
@@ -93,7 +92,6 @@ class ThreadGrouping(Transform):
             )
         ):
             host_body = host_body[0].body
-            batch_depth += 1
 
         path_j = find_loop_path(host_body, label_j)
         require(path_j is not None, f"loop {label_j!r} not found")
@@ -120,9 +118,9 @@ class ThreadGrouping(Transform):
             "Lj must start at 0",
         )
 
-        carried = carried_depths(stage.body)
-        i_parallel = batch_depth not in carried
-        j_parallel = batch_depth + 1 not in carried
+        carrying = carrying_loops(stage.body[0], among=(loop_i, loop_j))
+        i_parallel = loop_i not in carrying
+        j_parallel = loop_j not in carrying
         require(
             i_parallel or j_parallel,
             "thread_grouping needs at least one parallel loop",

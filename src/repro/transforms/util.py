@@ -170,13 +170,6 @@ class KernelStructure:
         """Phases tagged as compute (excludes copy / register staging)."""
         return [p for p in self.phases() if phase_kind(p) == "compute"]
 
-    def compute_phase(self) -> Loop:
-        """The last compute phase (the arithmetic body)."""
-        phases = self.compute_phases()
-        if not phases:
-            raise TransformFailure("no compute phases found in kernel structure")
-        return phases[-1]
-
     def container_of(self, target: Node) -> Optional[List[Node]]:
         """The body list that directly contains ``target`` (by identity)."""
 

@@ -4,43 +4,21 @@ import pytest
 
 from repro.ir import (
     ArrayRef,
-    analyze_dependences,
-    carries_dependence,
+    carrying_loops,
     fusion_legal,
-    gcd_test,
     interchange_legal,
     parse_labeled_source,
     var,
 )
 
 
-class TestGCD:
-    def test_same_cell_possible(self):
-        a = ArrayRef("A", [var("i"), var("k")])
-        b = ArrayRef("A", [var("i"), var("k")])
-        assert gcd_test(a, b)
-
-    def test_different_arrays_independent(self):
-        assert not gcd_test(ArrayRef("A", [var("i")]), ArrayRef("B", [var("i")]))
-
-    def test_constant_offset_parity(self):
-        # A[2i] vs A[2i+1] can never alias: 2x - 2y = 1 has no integer solution.
-        a = ArrayRef("A", [var("i") * 2])
-        b = ArrayRef("A", [var("i") * 2 + 1])
-        assert not gcd_test(a, b)
-
-    def test_distinct_constants(self):
-        assert not gcd_test(ArrayRef("A", [var("i") * 0 + 3]), ArrayRef("A", [var("i") * 0 + 4]))
-
-    def test_shifted_alias_possible(self):
-        a = ArrayRef("A", [var("i")])
-        b = ArrayRef("A", [var("i") + 1])
-        assert gcd_test(a, b)
+def carried_vars(nest, enclosing=()):
+    return {loop.var for loop in carrying_loops(nest, enclosing)}
 
 
 class TestAnalyze:
     def test_gemm_reduction_carried_by_k(self):
-        body = parse_labeled_source(
+        (nest,) = parse_labeled_source(
             """
             Li: for (i = 0; i < M; i++)
             Lj:   for (j = 0; j < N; j++)
@@ -48,16 +26,10 @@ class TestAnalyze:
                       C[i][j] += A[i][k] * B[k][j];
             """
         )
-        deps = analyze_dependences(body, {"M": 4, "N": 4, "K": 4})
-        flows = [d for d in deps if d.kind == "flow" and d.loop_carried()]
-        assert flows, "the k reduction must carry a flow dependence"
-        assert all(d.direction[0] == "=" and d.direction[1] == "=" for d in flows)
-        assert not carries_dependence(body, 0)
-        assert not carries_dependence(body, 1)
-        assert carries_dependence(body, 2)
+        assert carried_vars(nest) == {"k"}
 
     def test_trsm_carried_by_i(self):
-        body = parse_labeled_source(
+        (nest,) = parse_labeled_source(
             """
             Li: for (i = 0; i < M; i++)
             Lj:   for (j = 0; j < N; j++)
@@ -66,20 +38,33 @@ class TestAnalyze:
             """
         )
         # B[i][j] written at iteration i is read at iterations i' > i (as B[k][j]).
-        assert carries_dependence(body, 0)
-        assert not carries_dependence(body, 1)
+        assert carried_vars(nest) == {"i", "k"}
 
     def test_stream_no_deps(self):
-        body = parse_labeled_source(
-            "Li: for (i = 0; i < M; i++) C[i][0] = A[i][0];"
+        (nest,) = parse_labeled_source("Li: for (i = 0; i < M; i++) C[i][0] = A[i][0];")
+        assert not carrying_loops(nest)
+
+    def test_size_symbol_offset_checked_for_every_size(self):
+        # At the trace size (M = 6 = N) the references never meet; at
+        # M = 1 iteration j reads A[j], written one iteration earlier.
+        (loop,) = parse_labeled_source("Lj: for (j = 0; j < N; j++) A[j+M][0] = A[j][0] + A[j+M][0];")
+        assert carrying_loops(loop) == {loop}
+
+    def test_only_the_asked_loops_answer(self):
+        (nest,) = parse_labeled_source(
+            """
+            Li: for (i = 0; i < M; i++)
+            Lk:   for (k = 0; k < K; k++)
+                    C[i][0] += A[i][k];
+            """
         )
-        deps = analyze_dependences(body)
-        assert all(not d.loop_carried() for d in deps)
+        assert carrying_loops(nest, among=[nest]) == set()
+        assert carrying_loops(nest, among=nest.body) == set(nest.body)
 
 
 class TestInterchange:
     def test_gemm_ij_interchange_legal(self):
-        body = parse_labeled_source(
+        (nest,) = parse_labeled_source(
             """
             Li: for (i = 0; i < M; i++)
             Lj:   for (j = 0; j < N; j++)
@@ -87,19 +72,33 @@ class TestInterchange:
                       C[i][j] += A[i][k] * B[k][j];
             """
         )
-        assert interchange_legal(body, 0, 1)
-        assert interchange_legal(body, 0, 2)
+        assert interchange_legal(nest)
+        assert interchange_legal(nest.body[0], [nest])
 
     def test_wavefront_interchange_illegal(self):
         # A[i][j] depends on A[i-1][j+1]: direction (<, >) blocks interchange.
-        body = parse_labeled_source(
+        (nest,) = parse_labeled_source(
             """
             Li: for (i = 1; i < M; i++)
             Lj:   for (j = 0; j < N - 1; j++)
                     A[i][j] = A[i-1][j+1];
             """
         )
-        assert not interchange_legal(body, 0, 1)
+        assert not interchange_legal(nest)
+
+    def test_enclosing_loop_carries_the_wavefront(self):
+        # The (<, >) dependence on (i, j) is carried by t: within one t
+        # iteration no cell is both written and read, so i and j may swap.
+        (nest,) = parse_labeled_source(
+            """
+            Lt: for (t = 0; t < T; t++)
+            Li:   for (i = 0; i < M; i++)
+            Lj:     for (j = 0; j < N; j++)
+                      A[t+1][i+1][j] = A[t][i][j+1];
+            """
+        )
+        assert carried_vars(nest) == {"t"}
+        assert interchange_legal(nest.body[0], [nest])
 
 
 class TestFusion:
@@ -133,7 +132,7 @@ class TestFusion:
             """
             L1: for (i = 0; i < M; i++)
                   C[i][0] = A[i][0];
-            L2: for (i = 0; i < M - 1; i++)
+            L2: for (i = 0; i < M; i++)
                   D[i][0] = C[i+1][0];
             """
         )
@@ -161,73 +160,36 @@ class TestFusion:
         )
         assert fusion_legal(a, b)
 
-
-class TestBanerjee:
-    def test_disjoint_ranges_proven_independent(self):
-        from repro.ir import banerjee_test, may_alias
-        from repro.ir import ArrayRef, var
-
-        # A[i] with i in [0,7] vs A[j+16] with j in [0,7]: never equal.
-        a = ArrayRef("A", [var("i")])
-        b = ArrayRef("A", [var("j") + 16])
-        bounds = {"i": (0, 7), "j": (0, 7)}
-        assert not banerjee_test(a, b, bounds)
-        assert not may_alias(a, b, bounds)
-
-    def test_overlapping_ranges_possible(self):
-        from repro.ir import banerjee_test
-        from repro.ir import ArrayRef, var
-
-        a = ArrayRef("A", [var("i")])
-        b = ArrayRef("A", [var("j") + 4])
-        assert banerjee_test(a, b, {"i": (0, 7), "j": (0, 7)})
-
-    def test_negative_coefficients(self):
-        from repro.ir import banerjee_test
-        from repro.ir import ArrayRef, var
-
-        # A[8 - i] vs A[j]: ranges overlap for i,j in [0,8].
-        a = ArrayRef("A", [8 - var("i")])
-        b = ArrayRef("A", [var("j")])
-        assert banerjee_test(a, b, {"i": (0, 8), "j": (0, 8)})
-        # But not when j is forced above the reachable range.
-        assert not banerjee_test(a, b, {"i": (0, 3), "j": (10, 12)})
-
-    def test_complements_gcd(self):
-        from repro.ir import banerjee_test, gcd_test, may_alias
-        from repro.ir import ArrayRef, var
-
-        # Same parity (GCD passes) but disjoint ranges (Banerjee refutes).
-        a = ArrayRef("A", [var("i") * 2])
-        b = ArrayRef("A", [var("j") * 2 + 100])
-        bounds = {"i": (0, 10), "j": (0, 10)}
-        assert gcd_test(a, b)
-        assert not banerjee_test(a, b, bounds)
-        assert not may_alias(a, b, bounds)
-
-    def test_unbounded_vars_conservative(self):
-        from repro.ir import banerjee_test
-        from repro.ir import ArrayRef, var
-
-        a = ArrayRef("A", [var("i")])
-        b = ArrayRef("A", [var("z") + 1000])
-        assert banerjee_test(a, b, {"i": (0, 4)})  # z unbounded: cannot rule out
+    def test_size_symbol_offset_checked_for_every_size(self):
+        # At the trace size (M = 6) the second loop reads C[i+6], which the
+        # first never writes; at M = 1 it reads C[i+1], written one
+        # iteration later.
+        a, b = parse_labeled_source(
+            """
+            L1: for (i = 0; i < N; i++)
+                  C[i][0] = A[i][0];
+            L2: for (i = 0; i < N; i++)
+                  D[i][0] = C[i+M][0];
+            """
+        )
+        assert not fusion_legal(a, b)
 
 
 # ---------------------------------------------------------------------------
-# The structural memo in front of the exhaustive trace
+# The structural memo in front of the trace
 # ---------------------------------------------------------------------------
 
 
-def _memo_body(upper="M", step=1, var_name="j", cmp_op="<", op="+="):
-    """``for i: for j: if (j < i) C[i][j] += A[i][j] * 2`` with knobs for
-    every structural field the memo key must see."""
+def _memo_body(upper="M", step=1, var_name="j", cmp_op="<", op="+=", shift=0):
+    """``for i: for j: if (j < i) C[i][j] += C[j][i] * 2`` with knobs for
+    every structural field the memo key must see; ``shift`` adds that
+    many ``M`` to the read's row."""
     from repro.ir import Assign, BinOp, Cmp, Const, Guard, Loop
 
     j = var(var_name)
     stmt = Assign(
         ArrayRef("C", [var("i"), j]),
-        BinOp("*", ArrayRef("A", [var("i"), j]), Const(2.0)),
+        BinOp("*", ArrayRef("C", [j + var("M") * shift, var("i")]), Const(2.0)),
         op,
     )
     guard = Guard(Cmp(j, cmp_op, var("i")), [stmt])
@@ -248,6 +210,13 @@ def _relabel(nodes):
     return nodes
 
 
+def _positions(body, carrying):
+    """Pre-order positions of the ``carrying`` loops in ``body``."""
+    from repro.ir.visitors import iter_loops
+
+    return {i for i, loop in enumerate(iter_loops(body)) if loop in carrying}
+
+
 class _OddPredicate:
     """A guard predicate outside the structural encoder's subset."""
 
@@ -255,57 +224,65 @@ class _OddPredicate:
 class TestMemo:
     @pytest.fixture
     def traces(self, monkeypatch):
-        """Count the exhaustive traces behind a cold memo."""
+        """Count the traces behind a cold memo."""
         from repro.ir import dependence
 
         dependence.clear_cache()
         calls = []
-        original = dependence._trace_dependences
+        original = dependence._trace_carrying
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(dependence, "_trace_dependences", counting)
+        monkeypatch.setattr(dependence, "_trace_carrying", counting)
         yield calls
         dependence.clear_cache()
 
     def test_relabelled_clone_hits(self, traces):
         body = _memo_body()
-        first = analyze_dependences(body, {"M": 4, "N": 4})
+        first = _positions(body, carrying_loops(body[0]))
         clone = _relabel([node.clone() for node in body])
         assert clone[0].label != body[0].label
-        assert analyze_dependences(clone, {"N": 4, "M": 4}) == first
+        assert _positions(clone, carrying_loops(clone[0])) == first == {0}
         assert len(traces) == 1
 
     @pytest.mark.parametrize(
-        "variant, sizes, default_size",
+        "variant, enclosing, asked",
         [
-            (dict(upper="N"), {"M": 4, "N": 4}, 6),
-            (dict(step=2), {"M": 4, "N": 4}, 6),
-            (dict(var_name="jj"), {"M": 4, "N": 4}, 6),
-            (dict(cmp_op="<="), {"M": 4, "N": 4}, 6),
-            (dict(op="="), {"M": 4, "N": 4}, 6),
-            ({}, {"M": 5, "N": 4}, 6),
-            ({}, {"M": 4, "N": 4}, 5),
+            (dict(upper="N"), False, None),
+            (dict(step=2), False, None),
+            (dict(var_name="jj"), False, None),
+            (dict(cmp_op="<="), False, None),
+            (dict(op="="), False, None),
+            (dict(shift=1), False, None),
+            ({}, True, None),
+            ({}, False, "outer"),
         ],
-        ids=["bound", "step", "loop-var", "guard", "assign-op", "sizes", "default-size"],
+        ids=["bound", "step", "loop-var", "guard", "assign-op", "sizes", "enclosing", "asked"],
     )
-    def test_structural_change_misses(self, traces, variant, sizes, default_size):
-        analyze_dependences(_memo_body(), {"M": 4, "N": 4}, 6)
-        analyze_dependences(_memo_body(**variant), sizes, default_size)
-        assert len(traces) == 2
+    def test_structural_change_misses(self, traces, variant, enclosing, asked):
+        from repro.ir import Loop
+
+        carrying_loops(_memo_body()[0])
+        (nest,) = _memo_body(**variant)
+        outer = [Loop("s", 0, "N", [nest])] if enclosing else []
+        if enclosing:  # the nest's bound now runs with s
+            nest.upper = var("s")
+        carrying_loops(nest, outer, [nest] if asked else None)
+        wrapped = enclosing or "shift" in variant  # traced wrapped and pinned
+        assert len(traces) == (3 if wrapped else 2)
 
     def test_results_independent(self, traces):
         body = _memo_body()
-        first = analyze_dependences(body)
-        expected = list(first)
+        first = carrying_loops(body[0])
+        expected = set(first)
         first.clear()
-        second = analyze_dependences(body)
-        third = analyze_dependences(body)
+        second = carrying_loops(body[0])
+        third = carrying_loops(body[0])
         assert second == expected and second is not third
-        second.append("junk")
-        assert analyze_dependences(body) == expected
+        second.add("junk")
+        assert carrying_loops(body[0]) == expected
         assert len(traces) == 1
 
     def test_unsupported_node_uncached(self, traces):
@@ -316,8 +293,8 @@ class TestMemo:
         body[0].body[0].body = [Guard(_OddPredicate(), body[0].body[0].body[0].body)]
         with pytest.raises(UnsupportedIR):
             encode_body(body)
-        first = analyze_dependences(body)
-        assert analyze_dependences(body) == first
+        first = carrying_loops(body[0])
+        assert carrying_loops(body[0]) == first
         assert len(traces) == 2
         assert len(dependence._MEMO) == 0
 
@@ -328,14 +305,16 @@ class TestMemo:
         from repro.ir import dependence
 
         body = _memo_body()
-        expected = dependence._trace_dependences(body, None, 6)
+        expected = _positions(body, carrying_loops(body[0]))
+        dependence.clear_cache()
         start = threading.Barrier(8)
         results = []
 
         def worker():
             start.wait(timeout=30)
             for _ in range(25):
-                results.append(analyze_dependences(_relabel([n.clone() for n in body])))
+                clone = _relabel([n.clone() for n in body])
+                results.append(_positions(clone, carrying_loops(clone[0])))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -356,17 +335,28 @@ class TestMemo:
         from repro.ir import dependence
 
         monkeypatch.setattr(dependence, "_MAX_ENTRIES", 2)
-        for size in (3, 4, 5):
-            analyze_dependences(_memo_body(), {"M": size, "N": 4})
+        for step in (1, 2, 3):
+            carrying_loops(_memo_body(step=step)[0])
             assert len(dependence._MEMO) <= 2
 
     def test_jit_clear_cache_empties_memo(self, traces):
         from repro import jit
         from repro.ir import dependence
 
-        analyze_dependences(_memo_body())
+        carrying_loops(_memo_body()[0])
         assert len(dependence._MEMO) == 1
         jit.clear_cache()
         assert len(dependence._MEMO) == 0
-        analyze_dependences(_memo_body())
+        carrying_loops(_memo_body()[0])
         assert len(traces) == 2
+
+    def test_reordering_answers_are_memoized(self, traces, monkeypatch):
+        from repro.ir import dependence
+
+        orders = []
+        original = dependence._order_kept
+        monkeypatch.setattr(dependence, "_order_kept", lambda *a: orders.append(1) or original(*a))
+        (nest,) = _memo_body()
+        (clone,) = _relabel([nest.clone()])
+        assert interchange_legal(nest) == interchange_legal(clone)
+        assert len(orders) == 1

@@ -2,83 +2,45 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import (
-    analyze_dependences,
-    gcd_test,
-    parse_labeled_source,
-)
-from repro.ir.ast import ArrayRef
-from repro.ir.affine import AffineExpr, var
-
-
-@st.composite
-def affine_subscripts(draw):
-    coeff = draw(st.integers(-3, 3))
-    offset = draw(st.integers(-4, 4))
-    return AffineExpr({"i": coeff} if coeff else {}, offset)
-
-
-class TestGcdSoundness:
-    @settings(max_examples=60, deadline=None)
-    @given(a=affine_subscripts(), b=affine_subscripts())
-    def test_gcd_never_misses_real_overlap(self, a, b):
-        """If two subscripts collide for some i, i' in [0, 8), the GCD test
-        must say "may alias" — it may only err toward True."""
-        ra, rb = ArrayRef("X", [a]), ArrayRef("X", [b])
-        overlap = any(
-            a.evaluate({"i": i}) == b.evaluate({"i": j})
-            for i in range(8)
-            for j in range(8)
-        )
-        if overlap:
-            assert gcd_test(ra, rb)
-
-    def test_distinct_arrays_never_alias(self):
-        assert not gcd_test(ArrayRef("X", [var("i")]), ArrayRef("Y", [var("i")]))
+from repro.ir import carrying_loops, fusion_legal, interchange_legal, parse_labeled_source
 
 
 class TestExhaustiveConsistency:
     @settings(max_examples=25, deadline=None)
     @given(shift=st.integers(-2, 2))
     def test_shift_stream_direction(self, shift):
-        """A[i] = A[i+shift] has a loop-carried dependence iff shift != 0,
-        and its direction matches the sign of the shift."""
-        if shift == 0:
-            src = "L: for (i = 0; i < 8; i++) A[i][0] = A[i][0];"
-        elif shift > 0:
-            src = f"L: for (i = 0; i < 6; i++) A[i][0] = A[i+{shift}][0];"
-        else:
-            src = f"L: for (i = {-shift}; i < 8; i++) A[i][0] = A[i{shift}][0];"
-        body = parse_labeled_source(src)
-        deps = analyze_dependences(body, {"M": 8})
-        carried = [d for d in deps if d.loop_carried()]
-        if shift == 0:
-            assert not carried
-        else:
-            assert carried
-            kinds = {d.kind for d in carried}
-            # Reading ahead (shift > 0) is an anti dependence; reading
-            # behind is a flow dependence.
-            assert ("anti" in kinds) == (shift > 0)
-            assert ("flow" in kinds) == (shift < 0)
+        """A[i] = A[i+shift] carries a dependence iff shift != 0, and a
+        second loop reading A[i+shift] may fuse with the loop writing
+        A[i] iff it reads behind (shift <= 0)."""
+        (loop,) = parse_labeled_source(
+            f"L: for (i = 2; i < 6; i++) A[i][0] = A[i+{shift}][0];"
+        )
+        assert bool(carrying_loops(loop)) == (shift != 0)
+        producer, consumer = parse_labeled_source(
+            f"""
+            L1: for (i = 2; i < 6; i++)
+                  A[i][0] = X[i][0];
+            L2: for (i = 2; i < 6; i++)
+                  Y[i][0] = A[i+{shift}][0];
+            """
+        )
+        assert fusion_legal(producer, consumer) == (shift <= 0)
 
     @settings(max_examples=15, deadline=None)
     @given(size=st.integers(3, 8))
     def test_reduction_always_carried(self, size):
-        body = parse_labeled_source(
-            "L: for (i = 0; i < M; i++) S[0][0] += A[i][0];"
-        )
-        deps = analyze_dependences(body, {"M": size})
-        assert any(d.loop_carried() and d.array == "S" for d in deps)
+        (loop,) = parse_labeled_source(f"L: for (i = 0; i < {size}; i++) S[0][0] += A[i][0];")
+        assert carrying_loops(loop) == {loop}
 
     def test_directions_projectable(self):
-        body = parse_labeled_source(
+        """The flow A[i][j-1] -> A[i][j] has direction (=, <): j carries
+        it, i does not, and the two loops may swap."""
+        (nest,) = parse_labeled_source(
             """
             Li: for (i = 0; i < M; i++)
             Lj:   for (j = 1; j < N; j++)
                     A[i][j] = A[i][j-1];
             """
         )
-        deps = analyze_dependences(body, {"M": 4, "N": 4})
-        flow = [d for d in deps if d.kind == "flow" and d.loop_carried()]
-        assert flow and all(d.direction == ("=", "<") for d in flow)
+        assert carrying_loops(nest) == set(nest.body)
+        assert interchange_legal(nest)

@@ -4,8 +4,9 @@ Each loop that becomes a NumPy slice axis must carry no dependence for
 any value of the loops around it.  These tests check the compiled
 kernels against the interpreter with ``np.array_equal``:
 
-* two nests whose dependence shows only for some values of an enclosing
-  loop, run sequentially and inside a thread-mapped loop;
+* three nests whose dependence shows only for some values of an
+  enclosing loop or of a size, run sequentially and inside a
+  thread-mapped loop;
 * random nests whose enclosing variables appear in inner bounds, guards
   and index offsets, under both thread orders;
 * every BLAS3 reference nest, which must also slice at least one loop.
@@ -47,6 +48,13 @@ def shifting_overlap():
     return Loop("i", 0, "M", [Loop("j", 0, "N", [stmt])])
 
 
+def size_shifted_overlap():
+    """``for j<N: A[j+M] = A[j] + A[j+M]``: the references overlap along
+    j only for a size ``M`` below ``N``."""
+    target = ArrayRef("A", [j + M])
+    return Loop("j", 0, "N", [Assign(target, BinOp("+", ArrayRef("A", [j]), target.clone()))])
+
+
 def run_both(body, sizes, thread_order="asc", seed=0):
     comp = computation(body)
     rng = np.random.default_rng(seed)
@@ -59,15 +67,16 @@ def run_both(body, sizes, thread_order="asc", seed=0):
     return comp, ref, got
 
 
-@pytest.mark.parametrize("nest", [shrinking_trip_count, shifting_overlap])
+@pytest.mark.parametrize("nest", [shrinking_trip_count, shifting_overlap, size_shifted_overlap])
 @pytest.mark.parametrize("mapped", [False, True], ids=["sequential", "thread-mapped"])
 def test_enclosing_loop_dependence_keeps_the_loop_scalar(nest, mapped):
     body = [nest()]
     if mapped:
         body = [Loop("tx", 0, 2, body, mapped_to="thread.x")]
-    for order in ("asc", "desc"):
-        _, ref, got = run_both(body, {"M": 7, "N": 8}, order)
-        assert np.array_equal(ref["A"], got["A"]), order
+    for sizes in ({"M": 7, "N": 8}, {"M": 1, "N": 8}):
+        for order in ("asc", "desc"):
+            _, ref, got = run_both(body, sizes, order)
+            assert np.array_equal(ref["A"], got["A"]), (sizes, order)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

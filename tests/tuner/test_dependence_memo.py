@@ -1,11 +1,11 @@
 """The dependence memo changes no plan choice.
 
-Every legality check the tuner runs (thread grouping, batch grid,
-interchange, fusion, JIT vectorization) goes through the memoized
-:func:`repro.ir.dependence.analyze_dependences`.  Generating a routine
-with the memo cleared before every analysis must pick the same winner,
-with the same effective script, the same modeled GFLOPS and the same
-output bits, as generating it normally.
+Every carrying question the tuner asks (thread grouping, batch grid,
+JIT vectorization) goes through the memo in :mod:`repro.ir.dependence`
+unless a loop's own cells prove the answer.  Generating a routine with
+the memo cleared before every question must pick the same winner, with the same
+effective script, the same modeled GFLOPS and the same output bits, as
+generating it normally.
 """
 
 import numpy as np
@@ -15,6 +15,8 @@ from repro import jit
 from repro.blas3.reference import random_inputs
 from repro.gpu import GTX_285
 from repro.ir import dependence
+from repro.jit import lower as jit_lower
+from repro.transforms import batch, thread_grouping
 from repro.tuner import LibraryGenerator, TuningOptions
 
 SPACE = [
@@ -36,24 +38,25 @@ def _generate_and_run(name):
 def test_uncached_analysis_picks_the_same_plan(name, monkeypatch):
     memoized, memoized_out = _generate_and_run(name)
 
-    analyses, traces = [], []
-    analyze, trace = dependence.analyze_dependences, dependence._trace_dependences
+    questions, lookups, computes = [], [], []
+    asking, memo = dependence.carrying_loops, dependence._memoized
 
-    def cold_analyze(*args, **kwargs):
-        analyses.append(1)
+    def cold_question(*args, **kwargs):
+        questions.append(1)
         dependence.clear_cache()
-        return analyze(*args, **kwargs)
+        return asking(*args, **kwargs)
 
-    def counting_trace(*args):
-        traces.append(1)
-        return trace(*args)
+    def counting_memo(body, question, compute):
+        lookups.append(1)
+        return memo(body, question, lambda: computes.append(1) or compute())
 
-    monkeypatch.setattr(dependence, "analyze_dependences", cold_analyze)
-    monkeypatch.setattr(dependence, "_trace_dependences", counting_trace)
+    for module in (batch, jit_lower, thread_grouping):
+        monkeypatch.setattr(module, "carrying_loops", cold_question)
+    monkeypatch.setattr(dependence, "_memoized", counting_memo)
     cold, cold_out = _generate_and_run(name)
     monkeypatch.undo()
 
-    assert analyses and len(traces) == len(analyses)
+    assert questions and len(computes) == len(lookups)
     assert cold.config == memoized.config
     assert cold.applied_key == memoized.applied_key
     assert cold.tuned_gflops == memoized.tuned_gflops
