@@ -286,6 +286,9 @@ class Cmp(Predicate):
     def clone(self) -> "Cmp":
         return Cmp(self.lhs, self.op, self.rhs)
 
+    def substitute(self, mapping: Mapping[str, AffineLike]) -> "Cmp":
+        return Cmp(self.lhs.substitute(mapping), self.op, self.rhs.substitute(mapping))
+
     def evaluate(self, env: Mapping[str, int]) -> bool:
         a, b = self.lhs.evaluate(env), self.rhs.evaluate(env)
         return {
@@ -312,6 +315,9 @@ class And(Predicate):
     def clone(self) -> "And":
         return And(o.clone() for o in self.operands)
 
+    def substitute(self, mapping: Mapping[str, AffineLike]) -> "And":
+        return And(o.substitute(mapping) for o in self.operands)
+
     def __repr__(self):
         return " && ".join(repr(o) for o in self.operands)
 
@@ -326,6 +332,9 @@ class Flag(Predicate):
 
     def clone(self) -> "Flag":
         return Flag(self.name)
+
+    def substitute(self, mapping: Mapping[str, AffineLike]) -> "Flag":
+        return self.clone()
 
     def __repr__(self):
         return self.name
@@ -445,6 +454,20 @@ class Loop:
             unroll=self.unroll,
         )
 
+    def substitute(self, mapping: Mapping[str, AffineLike]) -> "Loop":
+        """A copy with ``mapping`` applied, except where the body rebinds ``var``."""
+        inner = {name: value for name, value in mapping.items() if name != self.var}
+        return Loop(
+            self.var,
+            self.lower.substitute(mapping),
+            self.upper.substitute(mapping),
+            [child.substitute(inner) for child in self.body],
+            label=self.label,
+            step=self.step,
+            mapped_to=self.mapped_to,
+            unroll=self.unroll,
+        )
+
     def trip_count(self) -> Optional[int]:
         """Constant trip count if bounds are constant, else ``None``."""
         if self.lower.is_constant and self.upper.is_constant:
@@ -493,6 +516,14 @@ class Guard:
             self.note,
         )
 
+    def substitute(self, mapping: Mapping[str, AffineLike]) -> "Guard":
+        return Guard(
+            self.cond.substitute(mapping),
+            [n.substitute(mapping) for n in self.body],
+            [n.substitute(mapping) for n in self.else_body],
+            self.note,
+        )
+
     def __repr__(self):
         return f"Guard({self.cond!r})"
 
@@ -507,6 +538,9 @@ class Barrier:
 
     def clone(self) -> "Barrier":
         return Barrier(self.note)
+
+    def substitute(self, mapping: Mapping[str, AffineLike]) -> "Barrier":
+        return self.clone()
 
     def __repr__(self):
         return "Barrier()"

@@ -24,7 +24,6 @@ from ..ir.affine import var
 from ..ir.ast import Computation, Loop, fresh_label
 from ..ir.dependence import carrying_loops
 from .base import LOC_ANY, POOL_POLYHEDRAL, Transform, TransformError, TransformResult
-from .thread_grouping import _substitute_body
 from .util import require
 
 __all__ = ["BatchGrid"]
@@ -83,7 +82,7 @@ class BatchGrid(Transform):
             # paper's tile sizes).
             inner_label = fresh_label("Lpp")
             p_expr = var("pb") + var("pp")
-            inner_body = _substitute_body(loop_p.body, {loop_p.var: p_expr})
+            inner_body = [node.substitute({loop_p.var: p_expr}) for node in loop_p.body]
             inner = Loop("pp", 0, bp, inner_body, label=inner_label)
             outer = Loop(
                 "pb",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from ..ir.affine import AffineExpr
-from ..ir.ast import Assign, Computation, Loop, Node, fresh_label
+from ..ir.ast import Computation, Loop, Node, fresh_label
 from ..ir.dependence import fusion_legal, interchange_legal
 from ..ir.visitors import find_loop, find_loop_path
 from .base import POOL_POLYHEDRAL, Transform, TransformError, TransformResult
@@ -125,10 +125,6 @@ class LoopFusion(Transform):
         )
         require(fusion_legal(first, second), "fusion violates a data dependence")
         rename = {second.var: AffineExpr.variable(first.var)}
-        for child in second.body:
-            if isinstance(child, Assign):
-                first.body.append(child.substitute(rename))
-            else:
-                first.body.append(child)
+        first.body.extend(child.substitute(rename) for child in second.body)
         container.pop(idx + 1)
         return TransformResult(comp, notes=[f"fused {args[1]} into {args[0]}"])

@@ -24,43 +24,16 @@ regime; sizes 512–4096 with power-of-two tiles).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..ir.affine import var
-from ..ir.ast import Assign, Computation, Guard, Loop, Node, fresh_label
+from ..ir.ast import Computation, Loop, fresh_label
 from ..ir.dependence import carrying_loops
 from ..ir.visitors import find_loop_path
 from .base import LOC_ANY, POOL_POLYHEDRAL, Transform, TransformError, TransformResult
 from .util import default_params, make_phase, require
 
 __all__ = ["ThreadGrouping"]
-
-
-def _substitute_body(body: Sequence[Node], mapping) -> List[Node]:
-    out: List[Node] = []
-    for node in body:
-        if isinstance(node, Assign):
-            out.append(node.substitute(mapping))
-        elif isinstance(node, Loop):
-            clone = Loop(
-                node.var,
-                node.lower.substitute(mapping),
-                node.upper.substitute(mapping),
-                _substitute_body(node.body, mapping),
-                label=node.label,
-                step=node.step,
-                mapped_to=node.mapped_to,
-                unroll=node.unroll,
-            )
-            out.append(clone)
-        elif isinstance(node, Guard):
-            clone = node.clone()
-            clone.body = _substitute_body(node.body, mapping)
-            clone.else_body = _substitute_body(node.else_body, mapping)
-            out.append(clone)
-        else:
-            out.append(node.clone())
-    return out
 
 
 class ThreadGrouping(Transform):
@@ -167,7 +140,7 @@ class ThreadGrouping(Transform):
 
         i_expr = var("bi") + var("tx") + var("a") * tx_n
         j_expr = var("bj") + var("ty") + var("b") * ty_n
-        inner = _substitute_body(loop_j.body, {loop_i.var: i_expr, loop_j.var: j_expr})
+        inner = [node.substitute({loop_i.var: i_expr, loop_j.var: j_expr}) for node in loop_j.body]
 
         lii = fresh_label("Lii")
         ljj = fresh_label("Ljj")
@@ -192,7 +165,7 @@ class ThreadGrouping(Transform):
 
         i_expr = var("ibb") + var("tx") + var("a") * tx_n
         j_expr = var("bj") + var("ty") + var("b") * ty_n
-        inner = _substitute_body(loop_j.body, {loop_i.var: i_expr, loop_j.var: j_expr})
+        inner = [node.substitute({loop_i.var: i_expr, loop_j.var: j_expr}) for node in loop_j.body]
 
         lii = fresh_label("Lii")
         ljj = fresh_label("Ljj")
@@ -216,7 +189,7 @@ class ThreadGrouping(Transform):
 
         i_expr = var("bi") + var("tx") + var("a") * tx_n
         j_expr = var("jbb") + var("ty") + var("b") * ty_n
-        inner = _substitute_body(loop_j.body, {loop_i.var: i_expr, loop_j.var: j_expr})
+        inner = [node.substitute({loop_i.var: i_expr, loop_j.var: j_expr}) for node in loop_j.body]
 
         lii = fresh_label("Lii")
         ljj = fresh_label("Ljj")

@@ -412,7 +412,7 @@ class BindingTriangular(Transform):
         serial: List[Node] = [
             _relabel_all(node) for node in orig_body
         ]
-        serial = self._substitute_nodes(serial, {orig_i: si, orig_j: sj})
+        serial = [node.substitute({orig_i: si, orig_j: sj}) for node in serial]
         if has_rect and peel_meta is not None:
             split = peel_meta["split"]
             for lp in iter_loops(serial):
@@ -439,22 +439,3 @@ class BindingTriangular(Transform):
                 + ("rect part kept parallel" if has_rect else "fully serialised")
             ],
         )
-
-    @staticmethod
-    def _substitute_nodes(nodes: List[Node], mapping) -> List[Node]:
-        out: List[Node] = []
-        for node in nodes:
-            if isinstance(node, Assign):
-                out.append(node.substitute(mapping))
-            elif isinstance(node, Loop):
-                node.lower = node.lower.substitute(mapping)
-                node.upper = node.upper.substitute(mapping)
-                node.body = BindingTriangular._substitute_nodes(node.body, mapping)
-                out.append(node)
-            elif isinstance(node, Guard):
-                node.body = BindingTriangular._substitute_nodes(node.body, mapping)
-                node.else_body = BindingTriangular._substitute_nodes(node.else_body, mapping)
-                out.append(node)
-            else:
-                out.append(node)
-        return out
