@@ -1,12 +1,17 @@
-"""Golden hashes of the JIT's lowered kernel sources.
+"""Golden records of the tuned library: lowered kernel hashes and plan choices.
 
-Hashes every source the JIT lowers for the tuned library: each top-level
-node of each stage, and each whole computation, of the 28 reference
-nests and of every winner and fallback the tuner picks on the GTX 285
-in the default space and in the serve space at N=16 and N=64, under
-both thread orders.  The test compares the sha256 of each source with
-``benchmarks/golden/lowered_kernels.json``.  A change that alters a
-lowered kernel on purpose regenerates the file with
+``lowered_kernels.json`` holds the sha256 of every source the JIT lowers
+for the tuned library: each top-level node of each stage, and each whole
+computation, of the 28 reference nests and of every winner and fallback
+the tuner picks on the GTX 285 in the default space and in the serve
+space at N=16 and N=64, under both thread orders.
+
+``plan_records.json`` holds one record per winner and fallback in those
+three spaces and in ``small_space()`` at N=8: its config, ``applied_key``,
+``tuned_gflops`` rounded to 4 places and the sha256 of its CUDA source.
+
+Each space is generated once for both files.  A change that alters a
+lowered kernel or a plan choice on purpose regenerates both with
 
     PYTHONPATH=src python -m benchmarks.test_golden_lowered
 
@@ -14,6 +19,7 @@ and explains each changed entry.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -24,16 +30,39 @@ from repro.gpu import GTX_285
 from repro.ir.ast import Stage
 from repro.jit.lower import UnsupportedIR, lower_computation
 from repro.tuner import LibraryGenerator, TuningOptions
+from repro.tuner.space import small_space
 
 from tests.ir.test_dependence_vectorized import SERVE_SPACE
 
 GOLDEN = Path(__file__).parent / "golden" / "lowered_kernels.json"
+PLAN_GOLDEN = Path(__file__).parent / "golden" / "plan_records.json"
 SPACES = {
     "default": {},
     "serve16": dict(space=SERVE_SPACE, tune_size=16),
     "serve64": dict(space=SERVE_SPACE, tune_size=64),
+    "small8": dict(space=tuple(small_space()), tune_size=8),
 }
+#: the spaces whose plans are lowered and hashed
+LOWERED_SPACES = ("default", "serve16", "serve64")
 ROUTINES = [str(v) for v in ALL_VARIANTS + BATCHED_VARIANTS]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def plans(space):
+    """``{(kind, routine): TunedRoutine}``: every winner and fallback of
+    one space, generated once per process."""
+    generator = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1, **SPACES[space]))
+    out = {}
+    for name in ROUTINES:
+        tuned = generator.generate(name)
+        for kind, plan in (("winner", tuned), ("fallback", tuned.fallback)):
+            if plan is not None:
+                out[kind, name] = plan
+    return out
 
 
 def _lower(comp, order):
@@ -58,27 +87,47 @@ def lowered_hashes():
     """``{key: sha256}`` of every lowered source, keyed
     ``space/kind/routine/order/piece``."""
     comps = {f"reference/nest/{name}": build_routine(name) for name in ROUTINES}
-    for space, options in SPACES.items():
-        generator = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1, **options))
-        for name in ROUTINES:
-            tuned = generator.generate(name)
-            for kind, plan in (("winner", tuned), ("fallback", tuned.fallback)):
-                if plan is not None:
-                    comps[f"{space}/{kind}/{name}"] = plan.comp
+    for space in LOWERED_SPACES:
+        for (kind, name), plan in plans(space).items():
+            comps[f"{space}/{kind}/{name}"] = plan.comp
     return {
-        f"{key}/{label}": hashlib.sha256(source.encode()).hexdigest()
+        f"{key}/{label}": _sha256(source)
         for key, comp in comps.items()
         for label, source in _sources(comp)
     }
 
 
+def plan_records():
+    """``{space/kind/routine: record}`` of every plan the tuner picks, as
+    JSON would read it back."""
+    records = {
+        f"{space}/{kind}/{name}": {
+            "config": dict(plan.config),
+            "applied_key": plan.applied_key,
+            "tuned_gflops": round(plan.tuned_gflops, 4),
+            "cuda_sha256": _sha256(plan.cuda_source()),
+        }
+        for space in SPACES
+        for (kind, name), plan in plans(space).items()
+    }
+    return json.loads(json.dumps(records))
+
+
+def _changed(golden, fresh):
+    return sorted(key for key in golden.keys() | fresh.keys() if golden.get(key) != fresh.get(key))
+
+
 def test_lowered_kernels_match_the_golden_hashes():
-    golden = json.loads(GOLDEN.read_text())
-    fresh = lowered_hashes()
-    changed = sorted(key for key in golden.keys() | fresh.keys() if golden.get(key) != fresh.get(key))
+    changed = _changed(json.loads(GOLDEN.read_text()), lowered_hashes())
     assert not changed, f"{len(changed)} lowered sources differ from {GOLDEN.name}: {changed}"
+
+
+def test_plan_choices_match_the_golden_records():
+    changed = _changed(json.loads(PLAN_GOLDEN.read_text()), plan_records())
+    assert not changed, f"{len(changed)} plans differ from {PLAN_GOLDEN.name}: {changed}"
 
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(lowered_hashes(), indent=1, sort_keys=True) + "\n")
+    PLAN_GOLDEN.write_text(json.dumps(plan_records(), indent=1, sort_keys=True) + "\n")
