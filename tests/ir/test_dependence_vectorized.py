@@ -22,8 +22,10 @@ twice the extent find.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from itertools import groupby
+from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -259,13 +261,23 @@ def order_kept(old, new) -> bool:
 
 #: the modules that ask :func:`carrying_loops`
 ASKERS = (batch, jit_lower, thread_grouping)
+
+
+def _perfbench_serve_space():
+    """The ``SERVE_SPACE`` tuple of ``perfbench/workloads.py``, read from
+    its source: importing that module would import perfbench's ``gate``,
+    ``speed`` and ``tracing`` too."""
+    source = (Path(__file__).resolve().parents[2] / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SERVE_SPACE" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/workloads.py assigns no SERVE_SPACE")
+
+
 #: the four configurations a serve set-up searches
-SERVE_SPACE = (
-    {"BM": 16, "BN": 16, "KT": 16, "TX": 16, "TY": 4},
-    {"BM": 16, "BN": 16, "KT": 8, "TX": 16, "TY": 2},
-    {"BM": 32, "BN": 16, "KT": 8, "TX": 32, "TY": 2},
-    {"BM": 32, "BN": 32, "KT": 8, "TX": 32, "TY": 2},
-)
+SERVE_SPACE = _perfbench_serve_space()
 SERVE_ROUTINES = ("BGEMM-NN", "SYMM-LL", "TRSM-LL-N", "GEMM-NN")
 #: producer -> consumer chains whose loop fusion is attempted edge by edge
 CHAINS = (
