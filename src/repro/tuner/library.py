@@ -490,16 +490,7 @@ class LibraryGenerator:
                     self.telemetry.incr("predictor.plans")
                     sp.tags["config"] = dict(config)
                     sp.tags["attempts"] = attempts
-                    return TunedRoutine(
-                        spec=spec,
-                        arch=self.arch,
-                        script=score.script,
-                        config=dict(score.config),
-                        comp=score.comp,
-                        tuned_gflops=score.gflops,
-                        applied_key=score.applied_key,
-                        telemetry=self.telemetry,
-                    )
+                    return self._tuned(spec, score)
         return None
 
     def library(self, names: Optional[Sequence[str]] = None) -> "GeneratedLibrary":
@@ -574,6 +565,25 @@ class LibraryGenerator:
             self.disk_cache.store_verdicts(self._verdict_key, {token: ok})
         return ok
 
+    def _tuned(
+        self,
+        spec: RoutineSpec,
+        score: CandidateScore,
+        search: Optional[SearchResult] = None,
+    ) -> TunedRoutine:
+        """The routine one scored candidate makes."""
+        return TunedRoutine(
+            spec=spec,
+            arch=self.arch,
+            script=score.script,
+            config=dict(score.config),
+            comp=score.comp,
+            tuned_gflops=score.gflops,
+            applied_key=score.applied_key,
+            search=search,
+            telemetry=self.telemetry,
+        )
+
     def _verified_best(
         self, spec: RoutineSpec, source: Computation, result: SearchResult
     ) -> TunedRoutine:
@@ -583,17 +593,7 @@ class LibraryGenerator:
             ranked = [result.best]
         for score in ranked:
             if self._script_verified(source, score):
-                return TunedRoutine(
-                    spec=spec,
-                    arch=self.arch,
-                    script=score.script,
-                    config=dict(score.config),
-                    comp=score.comp,
-                    tuned_gflops=score.gflops,
-                    applied_key=score.applied_key,
-                    search=result,
-                    telemetry=self.telemetry,
-                )
+                return self._tuned(spec, score, search=result)
         raise RuntimeError(
             f"no candidate for {spec.name} on {self.arch.name} survived verification"
         )
@@ -607,16 +607,7 @@ class LibraryGenerator:
         )
         for score in ranked:
             if self._script_verified(source, score):
-                return TunedRoutine(
-                    spec=spec,
-                    arch=self.arch,
-                    script=score.script,
-                    config=dict(score.config),
-                    comp=score.comp,
-                    tuned_gflops=score.gflops,
-                    applied_key=score.applied_key,
-                    telemetry=self.telemetry,
-                )
+                return self._tuned(spec, score)
         return None
 
 
