@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Mapping, Optional
 import numpy as np
 
 from ..ir.ast import Assign, Barrier, Computation, Guard, Loop, Node
-from ..ir.interpret import _eval_predicate, allocate_arrays, evaluate_expr
+from ..ir.interpret import _eval_predicate, _execute, allocate_arrays
 
 __all__ = ["run_lockstep", "lockstep_matches_sequential"]
 
@@ -42,15 +42,7 @@ def _thread_steps(
     """Generator executing one thread's statements, yielding after each."""
     for node in body:
         if isinstance(node, Assign):
-            idx = tuple(i.evaluate(env) for i in node.target.indices)
-            value = evaluate_expr(node.expr, env, buffers, scalars)
-            buf = buffers[node.target.array]
-            if node.op == "=":
-                buf[idx] = value
-            elif node.op == "+=":
-                buf[idx] += value
-            else:
-                buf[idx] -= value
+            _execute((node,), env, buffers, scalars, flags)
             yield
         elif isinstance(node, Loop):
             lo = node.lower.evaluate(env)
@@ -110,12 +102,6 @@ def _run_block_items(
         if isinstance(node, Loop):
             if node.mapped_to == "thread.x":
                 _run_phase_lockstep(node, env, buffers, scalars, flags)
-            elif node.mapped_to in ("block.x", "block.y"):
-                lo, hi = node.lower.evaluate(env), node.upper.evaluate(env)
-                for value in range(lo, hi, node.step):
-                    env[node.var] = value
-                    _run_block_items(node.body, env, buffers, scalars, flags)
-                env.pop(node.var, None)
             else:
                 lo, hi = node.lower.evaluate(env), node.upper.evaluate(env)
                 for value in range(lo, hi, node.step):
@@ -128,9 +114,7 @@ def _run_block_items(
             branch = node.body if _eval_predicate(node.cond, env, flags) else node.else_body
             _run_block_items(branch, env, buffers, scalars, flags)
         elif isinstance(node, Assign):
-            idx = tuple(i.evaluate(env) for i in node.target.indices)
-            value = evaluate_expr(node.expr, env, buffers, scalars)
-            buffers[node.target.array][idx] = value  # block-level stmt (rare)
+            _execute((node,), env, buffers, scalars, flags)  # block-level stmt (rare)
 
 
 def run_lockstep(

@@ -5,6 +5,8 @@ import numpy as np
 from repro.blas3 import BASE_GEMM_SCRIPT, build_routine, random_inputs, reference
 from repro.epod import parse_script, translate
 from repro.gpu.exec import lockstep_matches_sequential, run_lockstep
+from repro.ir.ast import Array, ArrayRef, Assign, Computation, Loop, Stage
+from repro.ir.interpret import interpret
 
 PARAMS = {"BM": 8, "BN": 8, "KT": 4, "TX": 4, "TY": 2}
 
@@ -50,6 +52,18 @@ class TestCorrectKernels:
         np.testing.assert_allclose(
             out["B"], reference("TRSM-LL-N", inputs), rtol=3e-3, atol=3e-3
         )
+
+    def test_block_level_statement_keeps_its_operator(self):
+        # for b in block.x: C[b] += A[b] -- a statement outside any phase
+        # accumulates as the interpreter does, not as a plain store.
+        body = [Loop("b", 0, "N", [Assign(ArrayRef("C", ["b"]), ArrayRef("A", ["b"]), "+=")],
+                     mapped_to="block.x")]
+        arrays = {name: Array(name, ("N",)) for name in ("A", "C")}
+        comp = Computation("acc", arrays, [Stage("s", body)], dim_symbols=("N",))
+        inputs = {"A": np.arange(4, dtype=np.float32), "C": np.ones(4, dtype=np.float32)}
+        out = run_lockstep(comp, {"N": 4}, inputs)
+        np.testing.assert_array_equal(out["C"], [1, 2, 3, 4])
+        np.testing.assert_array_equal(out["C"], interpret(comp, {"N": 4}, inputs)["C"])
 
     def test_symm_full_pipeline(self):
         script = parse_script(
