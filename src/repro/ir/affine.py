@@ -150,9 +150,6 @@ class AffineExpr:
                 result = result + AffineExpr({name: coeff})
         return result
 
-    def rename(self, mapping: Mapping[str, str]) -> "AffineExpr":
-        return self.substitute({old: AffineExpr.variable(new) for old, new in mapping.items()})
-
     def evaluate(self, env: Mapping[str, int]) -> int:
         total = self.offset
         for name, coeff in self.terms.items():
@@ -236,9 +233,6 @@ class _MinMaxExpr:
 
     def substitute(self, mapping: Mapping[str, AffineLike]):
         return simplify_bound(type(self)(o.substitute(mapping) for o in self.operands))
-
-    def rename(self, mapping: Mapping[str, str]):
-        return simplify_bound(type(self)(o.rename(mapping) for o in self.operands))
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         return type(self)._pick(o.evaluate(env) for o in self.operands)

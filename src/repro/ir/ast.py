@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .affine import AffineExpr, AffineLike, Bound, MaxExpr, MinExpr, aff
 
@@ -82,6 +82,10 @@ class Expr:
 
     def children(self) -> Tuple["Expr", ...]:
         return ()
+
+    def map_refs(self, fn: Callable[["ArrayRef"], "ArrayRef"]) -> "Expr":
+        """This expression with every :class:`ArrayRef` replaced by ``fn`` of it."""
+        return self
 
     def array_refs(self) -> List["ArrayRef"]:
         out: List[ArrayRef] = []
@@ -165,6 +169,9 @@ class ArrayRef(Expr):
             self.array, tuple(i.substitute(mapping) for i in self.indices), self.region
         )
 
+    def map_refs(self, fn: Callable[["ArrayRef"], "ArrayRef"]) -> "ArrayRef":
+        return fn(self)
+
     def __eq__(self, other):
         return (
             isinstance(other, ArrayRef)
@@ -194,6 +201,9 @@ class BinOp(Expr):
     def clone(self) -> "BinOp":
         return BinOp(self.op, self.left.clone(), self.right.clone())
 
+    def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "BinOp":
+        return BinOp(self.op, self.left.map_refs(fn), self.right.map_refs(fn))
+
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
 
@@ -221,6 +231,9 @@ class Neg(Expr):
     def clone(self) -> "Neg":
         return Neg(self.operand.clone())
 
+    def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Neg":
+        return Neg(self.operand.map_refs(fn))
+
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
 
@@ -244,6 +257,9 @@ class Recip(Expr):
 
     def clone(self) -> "Recip":
         return Recip(self.operand.clone())
+
+    def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Recip":
+        return Recip(self.operand.map_refs(fn))
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -374,35 +390,19 @@ class Assign:
     def all_refs(self) -> List[ArrayRef]:
         return self.expr.array_refs() + [self.target]
 
+    def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Assign":
+        """A new statement with ``fn`` applied to the target and to every
+        :class:`ArrayRef` of the expression."""
+        return Assign(fn(self.target), self.expr.map_refs(fn), self.op, self.label)
+
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "Assign":
-        return Assign(
-            self.target.substitute(mapping),
-            _substitute_expr(self.expr, mapping),
-            self.op,
-            self.label,
-        )
+        return self.map_refs(lambda ref: ref.substitute(mapping))
 
     def flop_count(self) -> int:
         return self.expr.flop_count() + (1 if self.op in ("+=", "-=") else 0)
 
     def __repr__(self):
         return f"{self.target!r} {self.op} {self.expr!r}"
-
-
-def _substitute_expr(expr: Expr, mapping: Mapping[str, AffineLike]) -> Expr:
-    if isinstance(expr, ArrayRef):
-        return expr.substitute(mapping)
-    if isinstance(expr, BinOp):
-        return BinOp(
-            expr.op,
-            _substitute_expr(expr.left, mapping),
-            _substitute_expr(expr.right, mapping),
-        )
-    if isinstance(expr, Neg):
-        return Neg(_substitute_expr(expr.operand, mapping))
-    if isinstance(expr, Recip):
-        return Recip(_substitute_expr(expr.operand, mapping))
-    return expr.clone()
 
 
 class Loop:

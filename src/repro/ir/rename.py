@@ -10,11 +10,10 @@ chain-unique names (later unified where shapes must agree), and its loop
 labels get a node prefix (so two ``Li`` nests can coexist and transforms
 can still address each by label).
 
-:func:`rename_computation` does all three in one structural walk and
-never mutates its input.  It is deliberately limited to the *naive*
-loop-nest form the composer starts from (loops, assignments, simple
-guards) — renaming happens before any EPOD scheme runs, so transformed
-constructs (thread mappings, shared-memory stages) never appear here.
+:func:`rename_computation` does all three on a copy and never mutates
+its input: it substitutes the dimension map through every node, maps
+each statement's array references, then prefixes the labels.  It
+accepts any node the IR has, transformed constructs included.
 """
 
 from __future__ import annotations
@@ -22,59 +21,10 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional
 
 from .affine import AffineExpr
-from .ast import Array, Assign, Barrier, Cmp, Computation, Guard, Loop, Node, Stage
+from .ast import Array, ArrayRef, Assign, Computation, Loop, Stage
+from .visitors import map_statements, walk
 
 __all__ = ["rename_computation"]
-
-
-def _rename_bound(bound, dims: Mapping[str, str]):
-    return bound.rename(dims) if dims else bound
-
-
-def _rename_node(
-    node: Node,
-    arrays: Mapping[str, str],
-    dim_sub: Mapping[str, AffineExpr],
-    dims: Mapping[str, str],
-    prefix: str,
-) -> Node:
-    if isinstance(node, Loop):
-        label = f"{prefix}{node.label}" if prefix else node.label
-        return Loop(
-            node.var,
-            _rename_bound(node.lower, dims),
-            _rename_bound(node.upper, dims),
-            [_rename_node(child, arrays, dim_sub, dims, prefix) for child in node.body],
-            label=label,
-            step=node.step,
-            mapped_to=node.mapped_to,
-            unroll=node.unroll,
-        )
-    if isinstance(node, Assign):
-        renamed = node.substitute(dim_sub)
-        if prefix and renamed.label:
-            renamed = Assign(
-                renamed.target, renamed.expr, renamed.op, f"{prefix}{renamed.label}"
-            )
-        for ref in renamed.all_refs():
-            ref.array = arrays.get(ref.array, ref.array)
-        return renamed
-    if isinstance(node, Guard):
-        cond = node.cond
-        if dims and isinstance(cond, Cmp):
-            cond = Cmp(cond.lhs.rename(dims), cond.op, cond.rhs.rename(dims))
-        return Guard(
-            cond,
-            [_rename_node(child, arrays, dim_sub, dims, prefix) for child in node.body],
-            [
-                _rename_node(child, arrays, dim_sub, dims, prefix)
-                for child in node.else_body
-            ],
-            node.note,
-        )
-    if isinstance(node, Barrier):
-        return Barrier(node.note)
-    raise TypeError(f"rename_computation cannot handle {type(node).__name__}")
 
 
 def rename_computation(
@@ -97,6 +47,10 @@ def rename_computation(
     dim_map = dict(dims or {})
     dim_sub = {old: AffineExpr.variable(new) for old, new in dim_map.items()}
 
+    def rename_ref(ref: ArrayRef) -> ArrayRef:
+        new_name = array_map.get(ref.array)
+        return ref if new_name is None else ArrayRef(new_name, ref.indices, ref.region)
+
     new_arrays: Dict[str, Array] = {}
     for old_name, array in comp.arrays.items():
         new_name = array_map.get(old_name, old_name)
@@ -105,22 +59,18 @@ def rename_computation(
                 f"array rename collapses {old_name!r} onto {new_name!r}, "
                 "already declared"
             )
-        new_dims = tuple(_rename_bound(d, dim_map) for d in array.dims)
+        new_dims = tuple(d.substitute(dim_sub) for d in array.dims)
         new_arrays[new_name] = array.with_(name=new_name, dims=new_dims)
 
     stages: List[Stage] = []
     for stage in comp.stages:
-        stages.append(
-            Stage(
-                f"{label_prefix}{stage.name}" if label_prefix else stage.name,
-                [
-                    _rename_node(node, array_map, dim_sub, dim_map, label_prefix)
-                    for node in stage.body
-                ],
-                stage.role,
-                dict(stage.meta),
-            )
-        )
+        body = [node.substitute(dim_sub) for node in stage.body]
+        map_statements(body, lambda stmt: stmt.map_refs(rename_ref))
+        if label_prefix:
+            for node in walk(body):
+                if isinstance(node, Loop) or (isinstance(node, Assign) and node.label):
+                    node.label = f"{label_prefix}{node.label}"
+        stages.append(Stage(f"{label_prefix}{stage.name}", body, stage.role, dict(stage.meta)))
 
     return Computation(
         name if name is not None else comp.name,

@@ -1,7 +1,9 @@
 """Traversal and rewriting helpers for the loop-nest IR.
 
-Transforms in :mod:`repro.transforms` are written against these utilities so
-each one stays focused on its own loop-level logic.
+This is the one module that knows which nodes hold children: loops hold
+``body``, guards ``body`` and ``else_body``.  Transforms in
+:mod:`repro.transforms` find, splice and rewrite nodes through these
+helpers so each one stays focused on its own loop-level logic.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ __all__ = [
     "iter_loops",
     "find_loop",
     "find_loop_path",
+    "locate",
     "replace_node",
-    "enclosing_loop_vars",
-    "loop_nest_chain",
-    "perfect_nest",
     "map_statements",
-    "count_nodes",
 ]
 
 
@@ -78,48 +77,39 @@ def find_loop_path(body: Sequence[Node], label: str) -> Optional[Tuple[Loop, ...
     return None
 
 
+def locate(
+    body: List[Node], node: Node, _loops: Tuple[Loop, ...] = ()
+) -> Optional[Tuple[Tuple[Loop, ...], List[Node], int]]:
+    """Where ``node`` (by identity) sits in ``body``: the loops enclosing
+    it, outermost first, the list that holds it and its index there.
+
+    Descends loops and both branches of a guard; ``None`` when absent.
+    """
+    for idx, child in enumerate(body):
+        if child is node:
+            return _loops, body, idx
+        if isinstance(child, Loop):
+            found = locate(child.body, node, _loops + (child,))
+        elif isinstance(child, Guard):
+            found = locate(child.body, node, _loops) or locate(child.else_body, node, _loops)
+        else:
+            continue
+        if found is not None:
+            return found
+    return None
+
+
 def replace_node(body: List[Node], old: Node, new: Sequence[Node]) -> bool:
     """Replace ``old`` (by identity) with the nodes in ``new``. In place.
 
     Returns True when a replacement happened.
     """
-    for idx, node in enumerate(body):
-        if node is old:
-            body[idx : idx + 1] = list(new)
-            return True
-        if isinstance(node, Loop):
-            if replace_node(node.body, old, new):
-                return True
-        elif isinstance(node, Guard):
-            if replace_node(node.body, old, new):
-                return True
-            if replace_node(node.else_body, old, new):
-                return True
-    return False
-
-
-def enclosing_loop_vars(body: Sequence[Node], target: Node) -> Optional[Tuple[str, ...]]:
-    """Loop variables of all loops enclosing ``target`` (identity match)."""
-    for node, loops in walk_with_context(body):
-        if node is target:
-            return tuple(loop.var for loop in loops)
-    return None
-
-
-def loop_nest_chain(loop: Loop) -> List[Loop]:
-    """The maximal chain of singly-nested loops starting at ``loop``."""
-    chain = [loop]
-    current = loop
-    while len(current.body) == 1 and isinstance(current.body[0], Loop):
-        current = current.body[0]
-        chain.append(current)
-    return chain
-
-
-def perfect_nest(loop: Loop) -> Tuple[List[Loop], List[Node]]:
-    """Split a perfectly nested chain into its loops and the innermost body."""
-    chain = loop_nest_chain(loop)
-    return chain, chain[-1].body
+    found = locate(body, old)
+    if found is None:
+        return False
+    _loops, container, idx = found
+    container[idx : idx + 1] = list(new)
+    return True
 
 
 def map_statements(body: List[Node], fn: Callable[[Assign], Assign]) -> None:
@@ -133,6 +123,3 @@ def map_statements(body: List[Node], fn: Callable[[Assign], Assign]) -> None:
             map_statements(node.body, fn)
             map_statements(node.else_body, fn)
 
-
-def count_nodes(body: Sequence[Node]) -> int:
-    return sum(1 for _ in walk(body))

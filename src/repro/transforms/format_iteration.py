@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.affine import AffineExpr, var
 from ..ir.ast import Assign, Computation, Loop, Node, fresh_label
-from ..ir.visitors import walk_with_context
+from ..ir.visitors import iter_loops, locate
 from .base import (
     POOL_POLYHEDRAL,
     Transform,
@@ -65,7 +65,8 @@ class FormatIteration(Transform):
         names = set(derived_names(comp, target))
 
         # -- locate the mixed-mode reduction loop --------------------------
-        kloop, parent_body, outer_loops = self._find_mixed_loop(stage.body, names)
+        kloop = self._find_mixed_loop(stage.body, names)
+        outer_loops, parent_body, pos = locate(stage.body, kloop)
         notes: List[str] = []
 
         # -- step 1: fission ------------------------------------------------
@@ -79,7 +80,6 @@ class FormatIteration(Transform):
             pieces.append(
                 Loop(kloop.var, kloop.lower, kloop.upper, [stmt], label=label, step=kloop.step)
             )
-        pos = parent_body.index(kloop)
         parent_body[pos : pos + 1] = pieces
         notes.append(f"fission: {len(pieces)} loops")
 
@@ -102,12 +102,8 @@ class FormatIteration(Transform):
         return TransformResult(comp, notes=notes)
 
     # ------------------------------------------------------------------
-    def _find_mixed_loop(
-        self, body: Sequence[Node], names: set
-    ) -> Tuple[Loop, List[Node], List[Loop]]:
-        for node, loops in walk_with_context(body):
-            if not isinstance(node, Loop):
-                continue
+    def _find_mixed_loop(self, body: Sequence[Node], names: set) -> Loop:
+        for node in iter_loops(body):
             stmts = [c for c in node.body if isinstance(c, Assign)]
             regions = {
                 r.region
@@ -116,10 +112,7 @@ class FormatIteration(Transform):
                 if r.array in names and r.region
             }
             if len(stmts) >= 2 and {"real", "shadow"} <= regions:
-                parent = loops[-1].body if loops else body
-                if not isinstance(parent, list):
-                    raise TransformError("loop container is not a mutable list")
-                return node, parent, list(loops)
+                return node
         raise TransformFailure("no mixed-mode (real+shadow) reduction loop found")
 
     @staticmethod
@@ -144,7 +137,7 @@ class FormatIteration(Transform):
         return pieces[0].body[0]
 
     # ------------------------------------------------------------------
-    def _try_interchange(self, piece: Loop, outer_loops: List[Loop]) -> Optional[Loop]:
+    def _try_interchange(self, piece: Loop, outer_loops: Sequence[Loop]) -> Optional[Loop]:
         """Interchange the triangular (outer, k) pair of ``piece``.
 
         Requires ``k ∈ [0, v + c)`` with ``v`` an enclosing loop variable and

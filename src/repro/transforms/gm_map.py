@@ -38,7 +38,6 @@ from .base import (
     TransformError,
     TransformResult,
 )
-from .memory import _rewrite_refs_in_expr
 from .util import require
 
 __all__ = ["GMMap", "derived_names"]
@@ -98,15 +97,7 @@ class GMMap(Transform):
                 return ArrayRef(new_name, (ref.indices[1], ref.indices[0]), ref.region)
             return ArrayRef(new_name, ref.indices, ref.region)
 
-        def rewrite_stmt(stmt: Assign) -> Assign:
-            return Assign(
-                rewrite(stmt.target),
-                _rewrite_refs_in_expr(stmt.expr, rewrite),
-                stmt.op,
-                stmt.label,
-            )
-
-        map_statements(comp.main_stage.body, rewrite_stmt)
+        map_statements(comp.main_stage.body, lambda stmt: stmt.map_refs(rewrite))
         return TransformResult(
             comp, notes=[f"{target} -> {new_name} ({mode}) via remap kernel"]
         )

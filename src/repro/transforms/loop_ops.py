@@ -7,28 +7,16 @@ ablation benchmarks can invoke them directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..ir.affine import AffineExpr
-from ..ir.ast import Computation, Loop, Node, fresh_label
+from ..ir.ast import Computation, Loop, fresh_label
 from ..ir.dependence import fusion_legal, interchange_legal
-from ..ir.visitors import find_loop, find_loop_path
+from ..ir.visitors import find_loop, find_loop_path, locate, replace_node
 from .base import POOL_POLYHEDRAL, Transform, TransformError, TransformResult
 from .util import require
 
 __all__ = ["LoopInterchange", "LoopFission", "LoopFusion"]
-
-
-def _container_of(body: List[Node], target: Node) -> List[Node]:
-    stack: List[List[Node]] = [body]
-    while stack:
-        nodes = stack.pop()
-        for node in nodes:
-            if node is target:
-                return nodes
-            if isinstance(node, Loop):
-                stack.append(node.body)
-    raise TransformError("node not found")
 
 
 class LoopInterchange(Transform):
@@ -90,15 +78,13 @@ class LoopFission(Transform):
         loop = find_loop(stage.body, args[0])
         require(loop is not None, f"loop {args[0]!r} not found")
         require(len(loop.body) >= 2, "nothing to distribute")
-        container = _container_of(stage.body, loop)
-        idx = container.index(loop)
         pieces = []
         for child_idx, child in enumerate(loop.body):
             label = loop.label if child_idx == 0 else fresh_label(loop.label)
             pieces.append(
                 Loop(loop.var, loop.lower, loop.upper, [child], label=label, step=loop.step)
             )
-        container[idx : idx + 1] = pieces
+        replace_node(stage.body, loop, pieces)
         return TransformResult(comp, notes=[f"fissioned into {len(pieces)} loops"])
 
 
@@ -117,8 +103,7 @@ class LoopFusion(Transform):
         first = find_loop(stage.body, args[0])
         second = find_loop(stage.body, args[1])
         require(first is not None and second is not None, "loops not found")
-        container = _container_of(stage.body, first)
-        idx = container.index(first)
+        _loops, container, idx = locate(stage.body, first)
         require(
             idx + 1 < len(container) and container[idx + 1] is second,
             "loops must be adjacent siblings",

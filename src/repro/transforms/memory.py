@@ -33,7 +33,7 @@ from ..ir.ast import (
     Node,
     fresh_label,
 )
-from ..ir.visitors import iter_loops, iter_statements, map_statements
+from ..ir.visitors import iter_loops, iter_statements, locate, map_statements
 from .base import (
     POOL_TRADITIONAL,
     Transform,
@@ -84,32 +84,16 @@ def _seq_loop_scope(
     after peeling there are two tile loops with the same variable name and
     each phase must stage its copies in its own.
     """
-    candidates = (
-        _enclosing_seq_loops(ks.items, phase)
-        if phase is not None
-        else ks.sequential_block_loops()
-    )
+    if phase is None:
+        candidates = ks.sequential_block_loops()
+    else:
+        enclosing, _container, _idx = locate(ks.items, phase)
+        candidates = [lp for lp in enclosing if lp.mapped_to is None]
     scope = None
     for loop in candidates:
         if loop.var in base_vars:
             scope = loop
     return scope
-
-
-def _enclosing_seq_loops(items: List[Node], target: Loop) -> List[Loop]:
-    """Sequential block-level loops on the path down to ``target``."""
-
-    def rec(nodes, acc):
-        for node in nodes:
-            if node is target:
-                return acc
-            if isinstance(node, Loop) and node.mapped_to is None:
-                found = rec(node.body, acc + [node])
-                if found is not None:
-                    return found
-        return None
-
-    return rec(items, []) or []
 
 
 class SMAlloc(Transform):
@@ -341,26 +325,7 @@ class SMAlloc(Transform):
                 return ArrayRef(shared_name, [local1, local0])
             return ArrayRef(shared_name, [local0, local1])
 
-        def rewrite_stmt(stmt: Assign) -> Assign:
-            new_expr = _rewrite_refs_in_expr(stmt.expr, rewrite_expr)
-            new_target = rewrite_expr(stmt.target)
-            return Assign(new_target, new_expr, stmt.op, stmt.label)
-
-        map_statements(phase.body, rewrite_stmt)
-
-
-def _rewrite_refs_in_expr(expr, fn):
-    from ..ir.ast import BinOp, Neg, Recip
-
-    if isinstance(expr, ArrayRef):
-        return fn(expr)
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, _rewrite_refs_in_expr(expr.left, fn), _rewrite_refs_in_expr(expr.right, fn))
-    if isinstance(expr, Neg):
-        return Neg(_rewrite_refs_in_expr(expr.operand, fn))
-    if isinstance(expr, Recip):
-        return Recip(_rewrite_refs_in_expr(expr.operand, fn))
-    return expr
+        map_statements(phase.body, lambda stmt: stmt.map_refs(rewrite_expr))
 
 
 class RegAlloc(Transform):
@@ -445,15 +410,7 @@ class RegAlloc(Transform):
             return ArrayRef(reg_name, reg_index_exprs)
 
         for ph in phases:
-            def rewrite_stmt(stmt: Assign) -> Assign:
-                return Assign(
-                    rewrite_expr(stmt.target),
-                    _rewrite_refs_in_expr(stmt.expr, rewrite_expr),
-                    stmt.op,
-                    stmt.label,
-                )
-
-            map_statements(ph.body, rewrite_stmt)
+            map_statements(ph.body, lambda stmt: stmt.map_refs(rewrite_expr))
 
         # Load / store staging phases.
         def staging(op_load: bool) -> Loop:

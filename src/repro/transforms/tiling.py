@@ -16,11 +16,11 @@ the tile loop encloses only the reduction it names.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..ir.affine import AffineExpr, MaxExpr, MinExpr, aff, bound_min
-from ..ir.ast import Barrier, Guard, Loop, Node, fresh_label
-from ..ir.visitors import find_loop
+from ..ir.ast import Barrier, Loop, Node, fresh_label
+from ..ir.visitors import find_loop, locate, replace_node
 from .base import (
     POOL_POLYHEDRAL,
     Transform,
@@ -34,30 +34,7 @@ from .util import KernelStructure, require
 __all__ = ["LoopTiling"]
 
 
-def _loop_path_to(nodes: Sequence[Node], target: Loop) -> Optional[List[Loop]]:
-    """Chain of loops from ``nodes`` down to (excluding) ``target``."""
-
-    def rec(body: Sequence[Node], acc: List[Loop]) -> Optional[List[Loop]]:
-        for node in body:
-            if node is target:
-                return acc
-            if isinstance(node, Loop):
-                found = rec(node.body, acc + [node])
-                if found is not None:
-                    return found
-            elif isinstance(node, Guard):
-                found = rec(node.body, acc)
-                if found is not None:
-                    return found
-                found = rec(node.else_body, acc)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(nodes, [])
-
-
-def _rebuild_chain(chain: List[Loop], inner_body: List[Node], relabel: bool) -> Node:
+def _rebuild_chain(chain: Sequence[Loop], inner_body: List[Node], relabel: bool) -> Node:
     """Rebuild a loop chain around ``inner_body`` (labels fresh if asked)."""
     node: List[Node] = inner_body
     for loop in reversed(chain):
@@ -110,13 +87,11 @@ class LoopTiling(Transform):
             f"loop {l3!r} already has min/max bounds (tiled twice?)",
         )
 
-        chain = _loop_path_to([target_phase], kloop)
-        if kloop not in chain[-1].body:
+        chain, container, idx = locate([target_phase], kloop)
+        if container is not chain[-1].body:
             raise TransformFailure(
                 f"reduction loop {l3!r} is not directly nested in the per-thread chain"
             )
-        container = chain[-1].body
-        idx = container.index(kloop)
         pre_nodes, post_nodes = container[:idx], container[idx + 1 :]
 
         # Fission the phase so the named reduction stands alone.
@@ -169,11 +144,8 @@ class LoopTiling(Transform):
             items.append(Barrier("phase fission (post)"))
             items.append(_rebuild_chain(chain, post_nodes, relabel=True))
 
-        parent = ks.container_of(target_phase)
-        if parent is None:
+        if not replace_node(ks.items, target_phase, items):
             raise TransformError("phase container not found")
-        pos = parent.index(target_phase)
-        parent[pos : pos + 1] = items
 
         stage.meta["kk_var"] = "kk"
         stage.meta["kk_label"] = kk_label

@@ -28,7 +28,7 @@ trapezoid is exposed yet (before thread grouping, as §IV-A.3 notes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..ir.affine import AffineExpr, MaxExpr, MinExpr, aff, var
 from ..ir.ast import (
@@ -42,7 +42,7 @@ from ..ir.ast import (
     Node,
     fresh_label,
 )
-from ..ir.visitors import iter_loops, walk_with_context
+from ..ir.visitors import iter_loops, replace_node, walk_with_context
 from .base import (
     POOL_POLYHEDRAL,
     Transform,
@@ -169,29 +169,6 @@ def _find_trapezoid(comp: Computation) -> Trapezoid:
     raise TransformFailure("cannot detect a trapezoid area (no triangular bound)")
 
 
-def _container_and_index(comp: Computation, target: Node) -> Tuple[List[Node], int]:
-    stage = comp.main_stage
-
-    def rec(nodes: List[Node]) -> Optional[Tuple[List[Node], int]]:
-        for idx, node in enumerate(nodes):
-            if node is target:
-                return nodes, idx
-            if isinstance(node, Loop):
-                found = rec(node.body)
-                if found:
-                    return found
-            elif isinstance(node, Guard):
-                found = rec(node.body) or rec(node.else_body)
-                if found:
-                    return found
-        return None
-
-    found = rec(stage.body)
-    if found is None:
-        raise TransformError("target node vanished from stage")
-    return found
-
-
 def _strip_operand(loop: Loop, side: str, operand: AffineExpr) -> None:
     """Remove the triangular operand from a min/max bound (or replace a bare
     triangular bound with nothing — caller sets the new bound)."""
@@ -219,14 +196,16 @@ class PeelTriangular(Transform):
         comp = comp.clone()
         trap = _find_trapezoid(comp)
         kt = comp.params.get("KT", 16)
+        # Split at a KT-aligned point: before tiling, a later loop_tiling
+        # then gets full tiles on the rectangular part (block bases are
+        # KT-aligned by construction).
+        split = (
+            _align_down(trap.p_min, kt)
+            if trap.side == "upper"
+            else _align_up(trap.p_max, kt)
+        )
 
         if trap.kk_loop is not None:
-            split = (
-                _align_down(trap.p_min, kt)
-                if trap.side == "upper"
-                else _align_up(trap.p_max, kt)
-            )
-            container, idx = _container_and_index(comp, trap.kk_loop)
             rect = trap.kk_loop  # keep labels on the rectangular copy
             tri = _relabel_all(trap.kk_loop)
             if trap.side == "upper":
@@ -244,17 +223,8 @@ class PeelTriangular(Transform):
             # reads rows finalised in *earlier* row-block iterations, and
             # for accumulations the order is immaterial.
             pieces = [rect, Barrier("peel: rect/tri split"), tri]
-            container[idx : idx + 1] = pieces
         else:
-            # Pre-tiling: split the per-thread reduction loop itself, at a
-            # KT-aligned point so a later loop_tiling gets full tiles on the
-            # rectangular part (block bases are KT-aligned by construction).
-            split = (
-                _align_down(trap.p_min, kt)
-                if trap.side == "upper"
-                else _align_up(trap.p_max, kt)
-            )
-            container, idx = _container_and_index(comp, trap.kloop)
+            # Pre-tiling: split the per-thread reduction loop itself.
             rect = trap.kloop
             tri = _relabel_all(trap.kloop)
             if trap.side == "upper":
@@ -273,7 +243,8 @@ class PeelTriangular(Transform):
                 rect.lower = split
                 tri.upper = split
                 pieces = [tri, rect]
-            container[idx : idx + 1] = pieces
+        if not replace_node(comp.main_stage.body, rect, pieces):
+            raise TransformError("target node vanished from stage")
 
         comp.main_stage.meta["peel"] = {"side": trap.side, "split": split}
         return TransformResult(

@@ -19,7 +19,7 @@ peel/padding/binding_triangular) navigate and rewrite this shape through
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ir.ast import Guard, Loop, Node, Stage, fresh_label
 from .base import TransformError, TransformFailure
@@ -169,25 +169,3 @@ class KernelStructure:
     def compute_phases(self) -> List[Loop]:
         """Phases tagged as compute (excludes copy / register staging)."""
         return [p for p in self.phases() if phase_kind(p) == "compute"]
-
-    def container_of(self, target: Node) -> Optional[List[Node]]:
-        """The body list that directly contains ``target`` (by identity)."""
-
-        def rec(nodes: List[Node]) -> Optional[List[Node]]:
-            for node in nodes:
-                if node is target:
-                    return nodes
-                if isinstance(node, Loop):
-                    found = rec(node.body)
-                    if found is not None:
-                        return found
-                elif isinstance(node, Guard):
-                    found = rec(node.body)
-                    if found is not None:
-                        return found
-                    found = rec(node.else_body)
-                    if found is not None:
-                        return found
-            return None
-
-        return rec(self.items)

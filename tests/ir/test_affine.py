@@ -116,10 +116,6 @@ class TestSubstitution:
         out = e.substitute({"i": var("ii") + 4})
         assert out == var("ii") + var("k") + 4
 
-    def test_rename(self):
-        e = var("i") * 2 + 1
-        assert e.rename({"i": "x"}) == var("x") * 2 + 1
-
     @given(affine_exprs(), envs())
     def test_substitution_consistent_with_eval(self, a, env):
         sub = a.substitute({"i": var("j") + 2})

@@ -17,15 +17,12 @@ from repro.ir import (
 )
 from repro.ir.builder import build_computation
 from repro.ir.visitors import (
-    count_nodes,
-    enclosing_loop_vars,
     find_loop,
     find_loop_path,
     iter_loops,
     iter_statements,
-    loop_nest_chain,
+    locate,
     map_statements,
-    perfect_nest,
     replace_node,
     walk,
     walk_with_context,
@@ -69,10 +66,18 @@ class TestTraversal:
 
     def test_enclosing_loop_vars(self, body):
         stmt = next(iter_statements(body))
-        assert enclosing_loop_vars(body, stmt) == ("i", "j", "k")
+        loops, container, idx = locate(body, stmt)
+        assert tuple(lp.var for lp in loops) == ("i", "j", "k")
+        assert container is find_loop(body, "Lk").body and idx == 0
 
-    def test_count_nodes(self, body):
-        assert count_nodes(body) == 4
+    def test_locate_descends_both_branches_of_a_guard(self, body):
+        other = Barrier()
+        guard = Guard(Cmp(var("i"), "==", 0), [Barrier()], [Barrier(), other])
+        find_loop(body, "Lj").body.append(guard)
+        loops, container, idx = locate(body, other)
+        assert [lp.label for lp in loops] == ["Li", "Lj"]
+        assert container is guard.else_body and idx == 1
+        assert locate(body, Barrier()) is None
 
     def test_walk_into_guards(self):
         inner = parse_labeled_source("Lx: for (x = 0; x < M; x++) C[x][0] = A[x][0];")
@@ -93,14 +98,6 @@ class TestRewriting:
     def test_map_statements(self, body):
         map_statements(body, lambda s: Assign(s.target, s.expr, "-=", s.label))
         assert next(iter_statements(body)).op == "-="
-
-    def test_loop_nest_chain(self, body):
-        chain = loop_nest_chain(body[0])
-        assert [lp.label for lp in chain] == ["Li", "Lj", "Lk"]
-
-    def test_perfect_nest(self, body):
-        chain, inner = perfect_nest(body[0])
-        assert len(chain) == 3 and isinstance(inner[0], Assign)
 
 
 class TestPrinter:

@@ -4,6 +4,7 @@ and footprint/range analysis."""
 import pytest
 
 from repro.ir import Loop, aff, bound_min, var
+from repro.ir.visitors import locate
 from repro.transforms import ThreadGrouping, TransformFailure, make_phase, phase_kind
 from repro.transforms.footprint import (
     VarRange,
@@ -58,8 +59,9 @@ class TestKernelStructure:
         comp = ThreadGrouping().apply(gemm_comp(), ("Li", "Lj"), PARAMS).comp
         ks = KernelStructure(comp.main_stage)
         phase = ks.phases()[0]
-        container = ks.container_of(phase)
-        assert container is ks.items
+        loops, container, idx = locate(comp.main_stage.body, phase)
+        assert loops == tuple(ks.block_loops)
+        assert container is ks.items and ks.items[idx] is phase
 
 
 class TestVarRanges:
