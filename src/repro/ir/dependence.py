@@ -32,6 +32,7 @@ plus the question; :func:`clear_cache` empties the memo and
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import reduce
@@ -322,7 +323,8 @@ def _sizing(body: Sequence[Node]) -> Tuple[int, List[Loop]]:
                         starts.append(expr.offset)
     offsets += [index.offset for index in indices]
     span = max(offsets, default=0) - min(offsets, default=0)
-    extent = max(_MIN_EXTENT, 1 + max(steps), 1 + span) + max(starts) + _lag(body, {})
+    # the references' cells repeat their pattern together every lcm of the steps
+    extent = max(_MIN_EXTENT, 1 + math.lcm(*steps), 1 + span) + max(starts) + _lag(body, {})
     extent *= max(1, max(shrink))
     ranged &= _symbols(body)
     return extent, [Loop(name, 1, extent + 1, [], label=name) for name in sorted(ranged)]
