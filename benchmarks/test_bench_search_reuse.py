@@ -1,9 +1,10 @@
-"""Benchmark: the variant search's prefix and kernel reuse changes nothing.
+"""Benchmark: the variant search's step memo and kernel reuse change nothing.
 
 Per config, the search walks the candidate scripts in script-key order
-through one EPOD translator, so each translation resumes from the
-previous script's shared prefix, and it profiles each distinct
-label-free kernel key once.  This benchmark builds all 28 routines (the
+through one EPOD translator, whose step memo applies each transform
+step (input computation, component, arguments) once however many
+scripts reach it, and it profiles each distinct label-free kernel key
+once.  This benchmark builds all 28 routines (the
 paper's 24 plus BGEMM) at ``jobs=1`` on the GTX 285 and checks the reuse
 against the plain per-unit evaluation:
 
@@ -14,7 +15,10 @@ against the plain per-unit evaluation:
   with synthesised label counters renamed by first appearance.
 
 It records the search's transform applications, analytic profiles,
-reused kernels and wall time in ``BENCH_search_reuse.json``.
+reused kernels and wall time in ``BENCH_search_reuse.json``, and its
+count fields must equal ``golden/search_reuse_counts.json`` exactly: a
+change that moves one on purpose copies the new counts from the record
+there and explains them.
 """
 
 import json
@@ -36,6 +40,7 @@ from repro.tuner import LibraryGenerator, TuningOptions, VariantSearch
 from .conftest import emit
 
 BENCH_PATH = Path(__file__).parents[1] / "BENCH_search_reuse.json"
+GOLDEN_COUNTS = Path(__file__).parent / "golden" / "search_reuse_counts.json"
 ROUTINES = [v.name for v in ALL_VARIANTS] + [v.name for v in BATCHED_VARIANTS]
 _COUNTER = re.compile(r"_(\d+)")
 
@@ -150,6 +155,7 @@ def test_bench_search_reuse(monkeypatch):
         f"search {search_s:.1f} s   generate {generate_s:.1f} s   "
         f"ok scores checked {checked}"
     )
-    assert units == 6400
+    golden = json.loads(GOLDEN_COUNTS.read_text())
+    assert {name: record[name] for name in golden} == golden
     assert tally["profiles"] == units - reused
     assert checked > 0

@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..ir.ast import Array, Computation
+from ..ir.ast import Array, ArrayRef, Computation
 from ..ir.builder import build_computation
 from ..ir.affine import var
 from .naming import ALL_VARIANTS, BATCHED_VARIANTS, VariantName, parse_variant
@@ -575,7 +575,7 @@ def build_routine(name: str) -> Computation:
         stmts = list(lk.body) + [n for n in lj.body if n is not lk]
         for pos, region in spec.regions:
             stmt = stmts[pos]
-            for ref in stmt.expr.array_refs():
-                if ref.array == "A":
-                    ref.region = region
+            stmt.expr = stmt.expr.map_refs(
+                lambda ref: ArrayRef(ref.array, ref.indices, region) if ref.array == "A" else ref
+            )
     return comp

@@ -21,7 +21,7 @@ Two failure disciplines:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.ast import Computation
 from ..ir.validate import validate
@@ -56,11 +56,12 @@ class TranslationResult:
 
 @dataclass(frozen=True)
 class _Step:
-    """What one invocation did: its resolved ``args`` and the computation
-    after it, plus the failure reason when it was omitted, or the labels
-    and notes it produced when it was applied."""
+    """What one component did to ``source`` with resolved ``args``: the
+    computation after it, plus the failure reason when it was omitted,
+    or the labels and notes it produced when it was applied.  Holding
+    ``source`` keeps the object whose ``id`` keys the step alive."""
 
-    inv: Invocation
+    source: Computation
     args: Tuple[str, ...]
     comp: Computation
     failure: Optional[str] = None
@@ -71,20 +72,28 @@ class _Step:
 class EpodTranslator:
     """Applies EPOD scripts to computations.
 
-    A translator remembers the path of the last script it translated:
-    the computation after each of its invocations.  A later call on the
-    same source object, with the same params and mode, resumes from the
-    longest common invocation prefix instead of re-applying it.  That is
-    sound because no transform mutates its input, and it is invisible:
-    results equal a fresh translator's up to the names of synthesised
-    loop labels.  Results of one translator may share their computations
-    with each other, so callers must treat ``result.comp`` as read-only.
+    A translator keeps one memo of transform steps: for each input
+    computation (by identity), component, resolved arguments and output
+    arity it has applied, the step's outcome.  Every later invocation
+    with the same key, in any script, reuses it instead of applying the
+    component again, so scripts sharing a prefix, or converging on one
+    computation after an omitted component, share their states.  That
+    is sound because no transform mutates its input, a step keeps its
+    input alive (an ``id`` is never reused while the memo holds it) and
+    the expressions computations share are immutable; and it is
+    invisible: results equal a fresh translator's up to the names of
+    synthesised loop labels.  Errors are raised, never memoised.  The
+    memo, and the set of results already validated, start over when the
+    source object, params or mode change.  Results of one translator
+    may share their computations with each other, so callers must treat
+    ``result.comp`` as read-only.
 
     ``metrics`` (a :class:`repro.telemetry.Metrics`) counts each
     component omitted in ``filter`` mode as
     ``translate.components_omitted`` — once per translation that omits
-    it, resumed or not.  Inside a search worker that is the
-    worker-local registry shipped back with the config's results.
+    it, whether its steps came from the memo or not.  Inside a search
+    worker that is the worker-local registry shipped back with the
+    config's results.
     """
 
     def __init__(self, params: Optional[Dict[str, int]] = None, metrics=None):
@@ -92,7 +101,8 @@ class EpodTranslator:
         self.metrics = metrics
         self._origin: Optional[Tuple] = None
         self._root: Optional[Computation] = None
-        self._path: List[_Step] = []
+        self._memo: Dict[Tuple, _Step] = {}
+        self._validated: Set[int] = set()
 
     def translate(
         self,
@@ -105,19 +115,18 @@ class EpodTranslator:
             raise ValueError(f"unknown mode {mode!r}")
         origin = (comp, dict(self.params), mode)
         if self._origin is None or self._origin[0] is not comp or self._origin[1:] != origin[1:]:
-            self._origin, self._root, self._path = origin, comp.clone(), []
-        invocations = list(script)
-        del self._path[len(invocations):]
+            self._origin, self._root = origin, comp.clone()
+            self._memo, self._validated = {}, set()
         result = TranslationResult(comp=self._root)
         env: Dict[str, str] = result.env
         fresh: Dict[str, Tuple[int, int]] = {}
         kernel_key = []
-        for index, inv in enumerate(invocations):
-            if index < len(self._path) and self._path[index].inv != inv:
-                del self._path[index:]
-            if index == len(self._path):
-                self._path.append(self._apply(result.comp, inv, env, mode))
-            step = self._path[index]
+        for inv in script:
+            args = tuple(env.get(a, a) for a in inv.args)
+            key = (id(result.comp), inv.component, args, len(inv.outputs))
+            step = self._memo.get(key)
+            if step is None:
+                step = self._memo[key] = self._apply(result.comp, inv, args, mode)
             if step.failure is not None:
                 result.omitted.append((inv, step.failure))
                 if self.metrics is not None:
@@ -137,28 +146,28 @@ class EpodTranslator:
             result.applied.append(inv)
             result.notes.extend(f"{inv.component}: {n}" for n in step.notes)
         result.kernel_key = tuple(kernel_key)
-        if validate_result:
+        if validate_result and id(result.comp) not in self._validated:
             validate(result.comp)
+            self._validated.add(id(result.comp))
         return result
 
     def _apply(
-        self, comp: Computation, inv: Invocation, env: Dict[str, str], mode: str
+        self, comp: Computation, inv: Invocation, args: Tuple[str, ...], mode: str
     ) -> _Step:
         """Apply one invocation to ``comp`` (never mutated)."""
         transform = get_transform(inv.component)
-        args = tuple(env.get(a, a) for a in inv.args)
         try:
             out = transform.apply(comp, args, self.params)
         except TransformFailure as failure:
             if mode == "strict":
                 raise
-            return _Step(inv, args, comp, failure=str(failure))
+            return _Step(comp, args, comp, failure=str(failure))
         if inv.outputs and len(out.labels) != len(inv.outputs):
             raise ScriptError(
                 f"{inv.component} returned {len(out.labels)} labels, "
                 f"script binds {len(inv.outputs)}"
             )
-        return _Step(inv, args, out.comp, labels=tuple(out.labels), notes=tuple(out.notes))
+        return _Step(comp, args, out.comp, labels=tuple(out.labels), notes=tuple(out.notes))
 
 
 def translate(

@@ -66,6 +66,15 @@ class AffineExpr:
 
     # -- constructors -----------------------------------------------------
     @staticmethod
+    def _make(terms: Dict[str, int], offset: int) -> "AffineExpr":
+        """An expression from already clean ``terms`` (int, nonzero
+        coefficients; the dict is taken over) without re-checking them."""
+        expr = object.__new__(AffineExpr)
+        object.__setattr__(expr, "terms", terms)
+        object.__setattr__(expr, "offset", offset)
+        return expr
+
+    @staticmethod
     def constant(value: int) -> "AffineExpr":
         return AffineExpr({}, value)
 
@@ -118,9 +127,8 @@ class AffineExpr:
     def __add__(self, other: "AffineLike") -> "AffineExpr":
         other = AffineExpr.coerce(other)
         terms = dict(self.terms)
-        for name, coeff in other.terms.items():
-            terms[name] = terms.get(name, 0) + coeff
-        return AffineExpr(terms, self.offset + other.offset)
+        _accumulate(terms, other.terms, 1)
+        return AffineExpr._make(terms, self.offset + other.offset)
 
     __radd__ = __add__
 
@@ -142,13 +150,16 @@ class AffineExpr:
 
     def substitute(self, mapping: Mapping[str, "AffineLike"]) -> "AffineExpr":
         """Replace each variable in ``mapping`` by its (affine) value."""
-        result = AffineExpr.constant(self.offset)
+        terms: Dict[str, int] = {}
+        offset = self.offset
         for name, coeff in self.terms.items():
             if name in mapping:
-                result = result + AffineExpr.coerce(mapping[name]) * coeff
+                value = AffineExpr.coerce(mapping[name])
+                _accumulate(terms, value.terms, coeff)
+                offset += value.offset * coeff
             else:
-                result = result + AffineExpr({name: coeff})
-        return result
+                _accumulate(terms, {name: coeff}, 1)
+        return AffineExpr._make(terms, offset)
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         total = self.offset
@@ -192,6 +203,18 @@ class AffineExpr:
 
 
 AffineLike = Union[AffineExpr, int, str]
+
+
+def _accumulate(terms: Dict[str, int], more: Mapping[str, int], scale: int) -> None:
+    """Add ``scale * more`` into ``terms`` in place, dropping a term the
+    moment it cancels (so a later one re-enters at the end, as it did
+    when each addition built a new expression)."""
+    for name, coeff in more.items():
+        total = terms.get(name, 0) + coeff * scale
+        if total:
+            terms[name] = total
+        else:
+            terms.pop(name, None)
 
 
 class _MinMaxExpr:

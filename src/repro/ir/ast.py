@@ -10,7 +10,9 @@ Node kinds
 ----------
 Expressions (statement right-hand sides):
     :class:`Const`, :class:`ScalarRef`, :class:`ArrayRef`, :class:`BinOp`,
-    :class:`Neg`, :class:`Recip`.
+    :class:`Neg`, :class:`Recip`.  These and the guard predicates
+    (:class:`Cmp`, :class:`And`, :class:`Flag`) are immutable, so clones
+    share them; statements, loops and containers are copied.
 Statements:
     :class:`Assign` (``=``, ``+=``, ``-=``).
 Structure:
@@ -71,14 +73,41 @@ def fresh_label(prefix: str = "L") -> str:
 # Expressions
 # ---------------------------------------------------------------------------
 
+_set = object.__setattr__
 
-class Expr:
-    """Base class for statement right-hand-side expressions."""
+
+def _rebuild(cls, values):
+    """Unpickle an immutable node: set its slots past the guard."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(node, name, value)
+    return node
+
+
+class _Immutable:
+    """Base of the expression and predicate nodes.  Their fields are set
+    once, in ``__init__``, like :class:`~repro.ir.affine.AffineExpr`'s:
+    rewriting builds new nodes, so :meth:`clone` returns the node itself
+    and a cloned computation shares every expression with its source."""
 
     __slots__ = ()
 
-    def clone(self) -> "Expr":
-        raise NotImplementedError
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Default slot-state pickling restores via setattr, which the
+        # guard rejects (see AffineExpr.__reduce__).
+        return (_rebuild, (type(self), tuple(getattr(self, n) for n in self.__slots__)))
+
+    def clone(self):
+        return self
+
+
+class Expr(_Immutable):
+    """Base class for statement right-hand-side expressions."""
+
+    __slots__ = ()
 
     def children(self) -> Tuple["Expr", ...]:
         return ()
@@ -107,10 +136,7 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
-        self.value = float(value)
-
-    def clone(self) -> "Const":
-        return Const(self.value)
+        _set(self, "value", float(value))
 
     def __eq__(self, other):
         return isinstance(other, Const) and self.value == other.value
@@ -128,10 +154,7 @@ class ScalarRef(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        self.name = name
-
-    def clone(self) -> "ScalarRef":
-        return ScalarRef(self.name)
+        _set(self, "name", name)
 
     def __eq__(self, other):
         return isinstance(other, ScalarRef) and self.name == other.name
@@ -155,14 +178,11 @@ class ArrayRef(Expr):
     __slots__ = ("array", "indices", "region")
 
     def __init__(self, array: str, indices: Sequence[AffineLike], region: Optional[str] = None):
-        self.array = array
-        self.indices: Tuple[AffineExpr, ...] = tuple(aff(i) for i in indices)
         if region not in (None, "real", "shadow", "diag"):
             raise ValueError(f"unknown access region {region!r}")
-        self.region = region
-
-    def clone(self) -> "ArrayRef":
-        return ArrayRef(self.array, self.indices, self.region)
+        _set(self, "array", array)
+        _set(self, "indices", tuple(aff(i) for i in indices))
+        _set(self, "region", region)
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "ArrayRef":
         return ArrayRef(
@@ -194,12 +214,9 @@ class BinOp(Expr):
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in self.OPS:
             raise ValueError(f"unsupported operator {op!r}")
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def clone(self) -> "BinOp":
-        return BinOp(self.op, self.left.clone(), self.right.clone())
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "BinOp":
         return BinOp(self.op, self.left.map_refs(fn), self.right.map_refs(fn))
@@ -226,10 +243,7 @@ class Neg(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr):
-        self.operand = operand
-
-    def clone(self) -> "Neg":
-        return Neg(self.operand.clone())
+        _set(self, "operand", operand)
 
     def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Neg":
         return Neg(self.operand.map_refs(fn))
@@ -253,10 +267,7 @@ class Recip(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr):
-        self.operand = operand
-
-    def clone(self) -> "Recip":
-        return Recip(self.operand.clone())
+        _set(self, "operand", operand)
 
     def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Recip":
         return Recip(self.operand.map_refs(fn))
@@ -279,11 +290,8 @@ class Recip(Expr):
 # ---------------------------------------------------------------------------
 
 
-class Predicate:
+class Predicate(_Immutable):
     __slots__ = ()
-
-    def clone(self) -> "Predicate":
-        raise NotImplementedError
 
 
 class Cmp(Predicate):
@@ -295,12 +303,9 @@ class Cmp(Predicate):
     def __init__(self, lhs: AffineLike, op: str, rhs: AffineLike):
         if op not in self.OPS:
             raise ValueError(f"unsupported comparison {op!r}")
-        self.lhs = aff(lhs)
-        self.op = op
-        self.rhs = aff(rhs)
-
-    def clone(self) -> "Cmp":
-        return Cmp(self.lhs, self.op, self.rhs)
+        _set(self, "lhs", aff(lhs))
+        _set(self, "op", op)
+        _set(self, "rhs", aff(rhs))
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "Cmp":
         return Cmp(self.lhs.substitute(mapping), self.op, self.rhs.substitute(mapping))
@@ -324,12 +329,10 @@ class And(Predicate):
     __slots__ = ("operands",)
 
     def __init__(self, operands: Iterable[Predicate]):
-        self.operands = tuple(operands)
-        if not self.operands:
+        operands = tuple(operands)
+        if not operands:
             raise ValueError("And needs at least one operand")
-
-    def clone(self) -> "And":
-        return And(o.clone() for o in self.operands)
+        _set(self, "operands", operands)
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "And":
         return And(o.substitute(mapping) for o in self.operands)
@@ -344,13 +347,10 @@ class Flag(Predicate):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        self.name = name
-
-    def clone(self) -> "Flag":
-        return Flag(self.name)
+        _set(self, "name", name)
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "Flag":
-        return self.clone()
+        return self
 
     def __repr__(self):
         return self.name
@@ -376,7 +376,7 @@ class Assign:
         self.label = label
 
     def clone(self) -> "Assign":
-        return Assign(self.target.clone(), self.expr.clone(), self.op, self.label)
+        return Assign(self.target, self.expr, self.op, self.label)
 
     def reads(self) -> List[ArrayRef]:
         refs = self.expr.array_refs()
@@ -442,30 +442,25 @@ class Loop:
         self.mapped_to = mapped_to
         self.unroll = unroll
 
+    def _copy(self, lower: Bound, upper: Bound, body: List["Node"]) -> "Loop":
+        """This loop with other bounds and body; the bounds are already
+        :data:`Bound` values, so the constructor's coercion is skipped."""
+        loop = object.__new__(Loop)
+        loop.var, loop.lower, loop.upper, loop.step = self.var, lower, upper, self.step
+        loop.body, loop.label = body, self.label
+        loop.mapped_to, loop.unroll = self.mapped_to, self.unroll
+        return loop
+
     def clone(self) -> "Loop":
-        return Loop(
-            self.var,
-            self.lower,
-            self.upper,
-            [child.clone() for child in self.body],
-            label=self.label,
-            step=self.step,
-            mapped_to=self.mapped_to,
-            unroll=self.unroll,
-        )
+        return self._copy(self.lower, self.upper, [child.clone() for child in self.body])
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "Loop":
         """A copy with ``mapping`` applied, except where the body rebinds ``var``."""
         inner = {name: value for name, value in mapping.items() if name != self.var}
-        return Loop(
-            self.var,
+        return self._copy(
             self.lower.substitute(mapping),
             self.upper.substitute(mapping),
             [child.substitute(inner) for child in self.body],
-            label=self.label,
-            step=self.step,
-            mapped_to=self.mapped_to,
-            unroll=self.unroll,
         )
 
     def trip_count(self) -> Optional[int]:
@@ -510,7 +505,7 @@ class Guard:
 
     def clone(self) -> "Guard":
         return Guard(
-            self.cond.clone(),
+            self.cond,
             [n.clone() for n in self.body],
             [n.clone() for n in self.else_body],
             self.note,
@@ -618,16 +613,9 @@ class Stage:
 
     def loops(self) -> List[Loop]:
         """All loops in the stage, preorder."""
-        out: List[Loop] = []
-        stack: List[Node] = list(reversed(self.body))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Loop):
-                out.append(node)
-                stack.extend(reversed(node.body))
-            elif isinstance(node, Guard):
-                stack.extend(reversed(node.body + node.else_body))
-        return out
+        from .visitors import iter_loops  # visitors imports this module
+
+        return list(iter_loops(self.body))
 
 
 @dataclass

@@ -50,6 +50,17 @@ __all__ = ["carrying_loops", "clear_cache", "fusion_legal", "interchange_legal"]
 #: the least value of a size symbol in a trace (:func:`_sizing`)
 _MIN_EXTENT = 6
 
+#: the most instances one loop level of a trace chunk may enumerate.
+#: The BLAS3 nests the tuner asks about enumerate at most 1,024; the
+#: lcm extent of nests with coprime steps can ask for billions.  A
+#: question past it is not traced and gets the conservative answer:
+#: every loop asked about carries, no reordering is kept.
+_MAX_LEVEL_INSTANCES = 1 << 22
+
+
+class _TooLarge(Exception):
+    """A trace past :data:`_MAX_LEVEL_INSTANCES`."""
+
 
 # ---------------------------------------------------------------------------
 # The memo
@@ -138,6 +149,8 @@ def _enumerate(
             lo = _evaluate(node.lower, scope, n)
             span = np.maximum(_evaluate(node.upper, scope, n) - lo, 0)
             trips = (span + node.step - 1) // node.step
+            if trips.sum() > _MAX_LEVEL_INSTANCES:
+                raise _TooLarge
             rows = np.repeat(np.arange(n), trips)
             if not len(rows):
                 continue
@@ -419,11 +432,14 @@ def _trace_carrying(body: Sequence[Node], wrappers: int, asked: Sequence[int]) -
     (body,), shells, extent, cut = _domain([body], wrappers)
     loops = list(_depths(body, 0))[shells:]  # the shells come first
     carrying: Set[int] = set()
-    for blocks in _chunks(body, extent, cut):
-        if blocks:
-            carrying |= _carried(blocks, loops, [i for i in asked if i not in carrying])
-        if carrying.issuperset(asked):
-            break
+    try:
+        for blocks in _chunks(body, extent, cut):
+            if blocks:
+                carrying |= _carried(blocks, loops, [i for i in asked if i not in carrying])
+            if carrying.issuperset(asked):
+                break
+    except _TooLarge:
+        return frozenset(asked)
     return frozenset(carrying)
 
 
@@ -561,7 +577,10 @@ def _order_kept(before: Sequence[Node], after: Sequence[Node], wrappers: int) ->
     (before, after), _, extent, cut = _domain([before, after], wrappers)
     index = [{id(s): i for i, s in enumerate(iter_statements(body))} for body in (before, after)]
     chunks = zip(_chunks(before, extent, cut), _chunks(after, extent, cut))
-    return all(_chunk_kept(index, old, new) for old, new in chunks)
+    try:
+        return all(_chunk_kept(index, old, new) for old, new in chunks)
+    except _TooLarge:
+        return False
 
 
 def _chunk_kept(index: Sequence[Dict[int, int]], old: List, new: List) -> bool:

@@ -280,7 +280,7 @@ class SMAlloc(Transform):
                 Guard(
                     real_cond,
                     [Assign(dst, src)],
-                    [Assign(dst.clone(), mirror)],
+                    [Assign(dst, mirror)],
                     note="symmetric tile: mirror the shadow area",
                 )
             ]
@@ -416,7 +416,7 @@ class RegAlloc(Transform):
         def staging(op_load: bool) -> Loop:
             reg_ref = ArrayRef(reg_name, [var("tx"), var("ty")] + [var(n) for n, _t in index_vars])
             glob_ref = ArrayRef(target, first.indices)
-            stmt = Assign(reg_ref, glob_ref) if op_load else Assign(glob_ref.clone(), reg_ref.clone())
+            stmt = Assign(reg_ref, glob_ref) if op_load else Assign(glob_ref, reg_ref)
             body: List[Node] = [stmt]
             for name, trip in reversed(index_vars):
                 body = [Loop(name, 0, trip, body, label=fresh_label(f"Lreg_{name}"))]

@@ -12,9 +12,10 @@ scoring each with the analytic performance model at the tuning size
 ``full_space=True`` sweeps everything.
 
 Units are evaluated one config at a time (:func:`_evaluate_config`):
-one translator walks that config's candidates in script-key order, so
-each translation resumes from the previous script's shared prefix, and
-each distinct kernel is profiled once.  The configs fan out over a
+one translator walks that config's candidates in script-key order, its
+step memo applies each transform step (input, component, arguments)
+once however many candidates reach it, and each distinct kernel is
+profiled once.  The configs fan out over a
 process pool (``jobs=`` workers, default ``os.cpu_count()``), one config
 per task; workers rebuild their :class:`~repro.gpu.simulator.SimulatedGPU`
 locally and run the same function as the sequential path.  The parent
@@ -268,9 +269,9 @@ def _evaluate_config(
     """Score every candidate script at one config — the search's unit of
     work, one :data:`Outcome` per candidate, in candidate order.
 
-    One translator walks the candidates in script-key order, so each
-    translation resumes from the previous script's shared prefix, and
-    each distinct :attr:`~repro.epod.translator.TranslationResult.kernel_key`
+    One translator walks the candidates in script-key order, so its
+    step memo applies each transform step once per config, and each
+    distinct :attr:`~repro.epod.translator.TranslationResult.kernel_key`
     is profiled once; a unit whose kernel was already profiled reuses
     that outcome (``search.kernels_reused``).  Module-level so both the
     sequential path and the pool workers run the identical code.

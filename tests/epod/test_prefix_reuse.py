@@ -1,14 +1,17 @@
-"""Prefix reuse in the EPOD translator is invisible.
+"""The EPOD translator's step memo is invisible.
 
-One translator resumes each translation from the longest invocation
-prefix it shares with the previous script.  Whatever order the scripts
-arrive in, every result must equal a fresh translator's: the same
+One translator reuses every transform step it has already applied to
+the same computation with the same component, arguments and output
+arity, so a shared prefix and a tail reached again past an omitted
+component are not applied twice.  Whatever order the scripts arrive
+in, every result must equal a fresh translator's: the same
 applied and omitted invocations (with reasons), label environment,
 notes, kernel key, fingerprint, arrays, params and flags — up to the
 names of synthesised loop labels, which come from a global counter and
 differ between any two translations anyway.  Errors must be raised
 exactly as before, and a translator handed a different source, params
-or mode must start over.
+or mode must start over.  The expressions the memoised computations
+share cannot be edited.
 """
 
 import re
@@ -18,9 +21,11 @@ import pytest
 from repro.blas3 import BASE_GEMM_SCRIPT, build_routine
 from repro.epod import EpodScript, EpodTranslator, Invocation, ScriptError, parse_script
 from repro.gpu import GTX_285
+from repro.ir.ast import ArrayRef, BinOp, Cmp, Const
 from repro.ir.fingerprint import computation_fingerprint
 from repro.ir.printer import print_computation
 from repro.transforms import TransformError, TransformFailure
+from repro.transforms.registry import REGISTRY
 from repro.tuner import LibraryGenerator, TuningOptions
 
 CONFIG = {"BM": 32, "BN": 16, "KT": 8, "TX": 16, "TY": 2}
@@ -120,6 +125,66 @@ def test_resumes_only_a_matching_path():
     # ... and a strict prefix resumes part of it
     shorter = EpodScript(list(script)[:2])
     assert outcome(translator, source, shorter, "strict") == fresh(CONFIG, source, shorter, "strict")
+
+
+@pytest.fixture
+def applications(monkeypatch):
+    """A one-element list counting every ``Transform.apply`` call."""
+    tally = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            tally[0] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in {type(t) for t in REGISTRY.values()}:
+        monkeypatch.setattr(cls, "apply", counted(cls.apply))
+    return tally
+
+
+class TestTailPastAnOmittedComponent:
+    """GEMM-NN has no triangular operand, so ``padding_triangular`` is
+    omitted and the computation after it is the one before it: a tail
+    after it was already applied to that computation."""
+
+    def setup_method(self):
+        self.source = build_routine("GEMM-NN")
+        self.invs = list(parse_script(BASE_GEMM_SCRIPT))
+
+    def with_middle(self, *outputs):
+        middle = Invocation("padding_triangular", ("A",), outputs)
+        return EpodScript(self.invs[:2] + [middle] + self.invs[2:])
+
+    def check(self, applications, first, second):
+        translator = EpodTranslator(CONFIG)
+        omitted = translator.translate(self.source, first, "filter").omitted
+        assert [inv.component for inv, _ in omitted] == ["padding_triangular"]
+        applications[0] = 0
+        got = outcome(translator, self.source, second)
+        assert applications[0] == 0
+        assert got == fresh(CONFIG, self.source, second)
+
+    def test_a_script_without_the_omitted_component(self, applications):
+        self.check(applications, self.with_middle(), EpodScript(self.invs))
+
+    def test_an_omitted_component_binding_other_names(self, applications):
+        self.check(applications, self.with_middle("La"), self.with_middle("Lb"))
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [
+        (ArrayRef("A", ["i", "k"]), "region"),
+        (BinOp("*", Const(2.0), ArrayRef("B", ["k", "j"])), "left"),
+        (Cmp("i", "<", "M"), "rhs"),
+    ],
+)
+def test_shared_expressions_are_immutable(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, getattr(node, field))
+    assert node.clone() is node
 
 
 class TestErrors:

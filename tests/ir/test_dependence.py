@@ -118,6 +118,30 @@ class TestAnalyze:
         assert carrying_loops(nest, among=nest.body) == set(nest.body)
 
 
+class TestTraceBudget:
+    """Steps 7, 8, 9 and 5 size the trace at their lcm, N = 2,521: four
+    loops over it would enumerate ~1.6e10 instances.  Past the budget
+    the questions get the conservative answer instead."""
+
+    SOURCE = """
+        Li: for (i = 0; i < N; i += 7)
+        Lj:   for (j = 0; j < N; j += 8)
+        Lk:     for (k = 0; k < N; k += 9)
+        Ll:       for (l = 0; l < N; l += 5)
+                    C[i][j][k][l] = C[i][j][k][l+1];
+        """
+
+    def test_every_loop_asked_about_carries(self):
+        (nest,) = parse_labeled_source(self.SOURCE)
+        # the exact answer is only l (an anti dependence)
+        assert carried_vars(nest) == {"i", "j", "k", "l"}
+
+    def test_no_reordering_is_kept(self):
+        (nest,) = parse_labeled_source(self.SOURCE)
+        # the exact answer is that i and j may swap
+        assert not interchange_legal(nest)
+
+
 class TestInterchange:
     def test_gemm_ij_interchange_legal(self):
         (nest,) = parse_labeled_source(

@@ -166,7 +166,8 @@ def _corrupt_first_binop(comp):
             while stack:
                 node = stack.pop()
                 if isinstance(node, BinOp):
-                    node.op = "%"
+                    # past the immutability guard, like a bad transform
+                    object.__setattr__(node, "op", "%")
                     return comp
                 if hasattr(node, "left"):
                     stack.extend([node.left, node.right])

@@ -101,7 +101,8 @@ def assign(draw, outer, nonnegative=False, reach=FAR):
     target = ref(draw, outer, nonnegative, reach)
     if nonnegative and outer:
         # stride along the innermost loop, so that loop may become a slice
-        target.indices = target.indices[:-1] + (target.indices[-1] + AffineExpr.variable(outer[-1]),)
+        *lead, last = target.indices
+        target = ArrayRef(target.array, (*lead, last + AffineExpr.variable(outer[-1])))
     operands = [ref(draw, outer, nonnegative, reach) for _ in range(draw(st.integers(0, 2)))]
     if draw(st.booleans()):
         operands.append(target.clone())  # reads and writes one cell

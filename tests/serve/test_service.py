@@ -44,6 +44,18 @@ class TestSingleCall:
         want = reference("GEMM-NN", inputs, alpha=2.0, beta=0.5)
         np.testing.assert_allclose(got, want, rtol=3e-3, atol=3e-3)
 
+    @pytest.mark.parametrize("n", [8, 12, 24])
+    def test_padded_answer_owns_its_buffer(self, n):
+        # N is off the 16 tile: a view of the padded result would keep
+        # the whole tile-multiple buffer alive with the answer
+        service = make_service()
+        sizes = {"M": n, "N": n, "K": n}
+        inputs = random_inputs("GEMM-NN", sizes, seed=n)
+        got = service.run("GEMM-NN", **inputs)
+        assert got.shape == (n, n)
+        assert got.base is None
+        np.testing.assert_allclose(got, reference("GEMM-NN", inputs), rtol=3e-3, atol=3e-3)
+
     def test_trsm_without_c(self):
         service = make_service()
         inputs = random_inputs("TRSM-LL-N", {"M": 32, "N": 32}, seed=4)

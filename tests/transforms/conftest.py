@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.ir import Array, build_computation, interpret, var
+from repro.ir import Array, ArrayRef, build_computation, interpret, var
 
 PARAMS = {"BM": 8, "BN": 8, "KT": 4, "TX": 4, "TY": 2}
 
@@ -92,16 +92,11 @@ def symm_comp():
     # Annotate access regions (the paper's real/shadow/diagonal comments).
     lk = comp.find_loop("Lk")
     s_real, s_shadow = lk.body
-    for r in s_real.expr.array_refs():
-        if r.array == "A":
-            r.region = "real"
-    for r in s_shadow.expr.array_refs():
-        if r.array == "A":
-            r.region = "shadow"
     lj = comp.find_loop("Lj")
-    for r in lj.body[1].expr.array_refs():
-        if r.array == "A":
-            r.region = "diag"
+    for stmt, region in ((s_real, "real"), (s_shadow, "shadow"), (lj.body[1], "diag")):
+        stmt.expr = stmt.expr.map_refs(
+            lambda r: ArrayRef(r.array, r.indices, region) if r.array == "A" else r
+        )
     return comp
 
 

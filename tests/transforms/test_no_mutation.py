@@ -1,11 +1,13 @@
 """No transform mutates its input.
 
-The EPOD translator resumes each translation from the computations it
-kept along the previous script's path, so one computation is the input
-of many sibling invocations.  That is only sound if ``apply`` never
-changes its input, on success or on :class:`TransformFailure` — and
-``Stage.clone`` copies ``meta`` shallowly, so a transform that edited a
-meta value in place would corrupt every sibling branch.
+The EPOD translator's step memo keeps the computation after every
+step it applied and feeds it to every later invocation that reaches
+it, so one computation is the input of many sibling invocations.  That
+is only sound if ``apply`` never changes its input, on success or on
+:class:`TransformFailure` — ``Stage.clone`` copies ``meta`` shallowly,
+so a transform that edited a meta value in place would corrupt every
+sibling branch, and ``clone`` shares the (immutable) expression and
+predicate nodes.
 
 Every component the candidate scripts of five routines invoke is
 applied at every distinct step of those scripts, and the three loop
