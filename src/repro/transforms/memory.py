@@ -42,6 +42,7 @@ from .base import (
     TransformResult,
 )
 from .footprint import VarRange, collect_var_ranges, split_base_span
+from .gm_map import derived_names
 from .util import KernelStructure, make_phase, phase_thread_vars, require
 
 __all__ = ["SMAlloc", "RegAlloc", "SMEM_BANKS", "ALLOC_MODES"]
@@ -49,17 +50,9 @@ __all__ = ["SMAlloc", "RegAlloc", "SMEM_BANKS", "ALLOC_MODES"]
 SMEM_BANKS = 16  # padding granularity (cc1.x bank count; the paper's example)
 ALLOC_MODES = ("NoChange", "Transpose", "Symmetry")
 
-
-def _phase_local_ranges(phase: Loop) -> Dict[str, VarRange]:
-    """Ranges of every loop variable inside a phase (optimistic trips)."""
-    return collect_var_ranges(list(iter_loops([phase])), optimistic=True)
-
-
-def _refs_in_phase(phase: Loop, array: str) -> List[ArrayRef]:
-    refs: List[ArrayRef] = []
-    for stmt in iter_statements([phase]):
-        refs.extend(r for r in stmt.all_refs() if r.array == array)
-    return refs
+#: the tile one reference covers in a phase: the base of every subscript
+#: and the spans of the trailing two
+_Tile = Tuple[Tuple[AffineExpr, ...], int, int]
 
 
 def _read_write_refs(phase: Loop, array: str) -> Tuple[List[ArrayRef], List[ArrayRef]]:
@@ -75,25 +68,90 @@ def _read_write_refs(phase: Loop, array: str) -> Tuple[List[ArrayRef], List[Arra
     return reads, writes
 
 
-def _seq_loop_scope(
-    ks: KernelStructure, base_vars: set, phase: Optional[Loop] = None
-) -> Optional[Loop]:
-    """Innermost block-level sequential loop whose var appears in the bases.
+def _tile(ref: ArrayRef, local: Dict[str, VarRange]) -> _Tile:
+    """The tile ``ref`` covers over the phase's loop ranges ``local``.
 
-    When ``phase`` is given, only loops *enclosing that phase* qualify —
-    after peeling there are two tile loops with the same variable name and
+    Batched (strided) matrices carry leading batch indices; the staged
+    tile is still the trailing 2-D slice of one problem.
+    """
+    parts = [split_base_span(ix, local) for ix in ref.indices]
+    require(
+        all(s == 0 for _b, s in parts[:-2]),
+        "batch index must be phase-invariant to stage a tile",
+    )
+    return tuple(b for b, _s in parts), parts[-2][1], parts[-1][1]
+
+
+def _tile_loop(ks: KernelStructure, phase: Loop, base_vars: set) -> Optional[Loop]:
+    """Innermost sequential loop enclosing ``phase`` whose var appears in
+    the bases: the loop each iteration of which stages a new tile.
+
+    After peeling there are two tile loops with the same variable name and
     each phase must stage its copies in its own.
     """
-    if phase is None:
-        candidates = ks.sequential_block_loops()
+    enclosing, _container, _idx = locate(ks.items, phase)
+    for loop in reversed(enclosing):
+        if loop.mapped_to is None and loop.var in base_vars:
+            return loop
+    return None
+
+
+def _copy_phase(
+    arr: Array, shared_name: str, mode: str, bases: Sequence[AffineExpr],
+    extents: Tuple[int, int], tx_n: int, ty_n: int,
+) -> Loop:
+    """The thread-distributed phase copying one tile of ``arr`` to shared memory."""
+    e0, e1 = extents
+    *lead_bases, base0, base1 = bases
+    # Copy loops: inner loop walks the stride-1 (first, column-major)
+    # dimension of the source with threadIdx.x for coalescing.
+    ci = var("ci")
+    cj = var("cj")
+    src = ArrayRef(arr.name, [*lead_bases, base0 + ci, base1 + cj])
+    if mode == "Transpose":
+        dst = ArrayRef(shared_name, [cj, ci])
     else:
-        enclosing, _container, _idx = locate(ks.items, phase)
-        candidates = [lp for lp in enclosing if lp.mapped_to is None]
-    scope = None
-    for loop in candidates:
-        if loop.var in base_vars:
-            scope = loop
-    return scope
+        dst = ArrayRef(shared_name, [ci, cj])
+    if mode == "Symmetry":
+        mirror = ArrayRef(arr.name, [*lead_bases, base1 + cj, base0 + ci])
+        lo_first = arr.symmetric != "upper"
+        real_cond = (
+            Cmp(base0 + ci, ">=", base1 + cj)
+            if lo_first
+            else Cmp(base0 + ci, "<=", base1 + cj)
+        )
+        body: List[Node] = [
+            Guard(
+                real_cond,
+                [Assign(dst, src)],
+                [Assign(dst, mirror)],
+                note="symmetric tile: mirror the shadow area",
+            )
+        ]
+    else:
+        body = [Assign(dst, src)]
+    inner = Loop("ci", aff("tx"), e0, body, label=fresh_label("Lci"), step=tx_n)
+    outer = Loop("cj", aff("ty"), e1, [inner], label=fresh_label("Lcj"), step=ty_n)
+    return make_phase([outer], tx_n, ty_n, kind="copy")
+
+
+def _retarget(
+    phase: Loop, target: str, tiles: Dict[ArrayRef, _Tile], bases: Tuple[AffineExpr, ...],
+    shared_name: str, mode: str,
+) -> None:
+    """Point every ref of ``phase`` whose tile has ``bases`` at the shared tile."""
+    *_lead_bases, base0, base1 = bases
+
+    def retarget(ref: ArrayRef) -> ArrayRef:
+        if ref.array != target or tiles[ref][0] != bases:
+            return ref
+        local0 = ref.indices[-2] - base0
+        local1 = ref.indices[-1] - base1
+        if mode == "Transpose":
+            return ArrayRef(shared_name, [local1, local0])
+        return ArrayRef(shared_name, [local0, local1])
+
+    map_statements(phase.body, lambda stmt: stmt.map_refs(retarget))
 
 
 class SMAlloc(Transform):
@@ -105,14 +163,10 @@ class SMAlloc(Transform):
     def _resolve_target(comp, target: str) -> str:
         """Follow GM_map's derived arrays to the one the kernel references."""
         require(target in comp.arrays, f"array {target!r} not declared")
-        candidates = [target] + [
-            a.name for a in comp.arrays.values() if a.source == target
-        ]
-        referenced = set()
-        for stmt in iter_statements(comp.main_stage.body):
-            for r in stmt.all_refs():
-                referenced.add(r.array)
-        for name in reversed(candidates):  # prefer the derived array
+        referenced = {
+            r.array for stmt in iter_statements(comp.main_stage.body) for r in stmt.all_refs()
+        }
+        for name in reversed(derived_names(comp, target)):  # prefer the derived array
             if name in referenced:
                 return name
         return target
@@ -129,79 +183,47 @@ class SMAlloc(Transform):
         target = self._resolve_target(comp, target)
         arr = comp.array(target)
         require(arr.storage == "global", f"{target} is not in global memory")
-        # Batched (strided) matrices carry leading batch indices; the
-        # staged tile is still the trailing 2-D slice of one problem.
         require(arr.rank in (2, 3), "SM_alloc supports 2-D (or batched 3-D) matrices")
-        stage = comp.main_stage
-        ks = KernelStructure(stage)
+        ks = KernelStructure(comp.main_stage)
         p = comp.params
         tx_n, ty_n = p.get("TX", 16), p.get("TY", 4)
 
-        # Gather per-phase footprints.  Only *read-only* reference groups are
-        # staged (a written tile must stay visible in global memory); phases
-        # whose footprint cannot be sized at compile time (e.g. a serialised
-        # triangular solve) keep their global accesses.
-        plans = []
+        # Plan from each reference's tile.  Only tiles no reference writes
+        # are staged (a written tile must stay visible in global memory);
+        # phases whose footprint cannot be sized at compile time (e.g. a
+        # serialised triangular solve) keep their global accesses.
+        plans = []  # (phase, tile of each ref, staged bases, tile loop)
         extents: Optional[Tuple[int, int]] = None
         for phase in ks.compute_phases():
             reads, writes = _read_write_refs(phase, target)
             if not reads:
                 continue
             try:
-                local = _phase_local_ranges(phase)
-                groups: Dict[Tuple, List[ArrayRef]] = {}
-                for r in reads + writes:
-                    parts = [split_base_span(ix, local) for ix in r.indices]
-                    require(
-                        all(s == 0 for _b, s in parts[:-2]),
-                        "batch index must be phase-invariant to stage a tile",
-                    )
-                    (b0, s0), (b1, s1) = parts[-2], parts[-1]
-                    key = tuple(str(b) for b, _s in parts[:-2]) + (
-                        str(b0), str(b1), s0, s1,
-                    )
-                    groups.setdefault(key, []).append(r)
+                local = collect_var_ranges(list(iter_loops([phase])), optimistic=True)
+                tiles = {r: _tile(r, local) for r in dict.fromkeys(reads + writes)}
             except TransformFailure:
                 continue  # unsized footprint: leave this phase in global memory
-            written_keys = {
-                key
-                for key, refs in groups.items()
-                if any(w == r for w in writes for r in refs)
-            }
-            for key, refs in groups.items():
-                if key in written_keys:
+            written = {tiles[w] for w in writes}
+            for tile in dict.fromkeys(tiles[r] for r in reads):
+                bases, s0, s1 = tile
+                if tile in written:
                     continue
-                local0 = local
-                parts = [split_base_span(ix, local0) for ix in refs[0].indices]
-                bases = [b for b, _s in parts]
-                s0, s1 = parts[-2][1], parts[-1][1]
-                ext = (s0 + 1, s1 + 1)
-                if extents is not None and extents != ext:
+                if extents not in (None, (s0 + 1, s1 + 1)):
                     continue  # only one tile geometry per shared array
-                extents = ext
-                base_vars = set()
-                for b in bases:
-                    base_vars |= set(b.free_vars())
-                scope = _seq_loop_scope(ks, base_vars, phase)
-                plans.append((phase, bases, ext, local0, scope))
+                extents = (s0 + 1, s1 + 1)
+                base_vars = {v for b in bases for v in b.free_vars()}
+                plans.append((phase, tiles, bases, _tile_loop(ks, phase, base_vars)))
         require(bool(plans), f"no stageable read-only references to {target}")
         # Staging discipline: once any plan stages per reduction-tile (inside
         # a sequential block loop), a block-top staging of the same shared
         # array would be overwritten before use — drop un-scoped plans, and
-        # keep at most one plan per scope (later copies would clobber
-        # earlier ones within the same tile iteration).
-        if any(p[4] is not None for p in plans):
-            plans = [p for p in plans if p[4] is not None]
-        seen_scopes = set()
-        deduped = []
-        for p in plans:
-            key = id(p[4]) if p[4] is not None else None
-            if key in seen_scopes:
-                continue
-            seen_scopes.add(key)
-            deduped.append(p)
-        plans = deduped
-        require(bool(plans), f"no stageable read-only references to {target}")
+        # keep the first plan per scope (later copies would clobber earlier
+        # ones within the same tile iteration).
+        if any(scope is not None for *_plan, scope in plans):
+            plans = [plan for plan in plans if plan[3] is not None]
+        first_per_scope: Dict[int, tuple] = {}
+        for plan in plans:
+            first_per_scope.setdefault(id(plan[3]), plan)
         e0, e1 = extents
         require(
             e0 * e1 <= 64 * 1024,
@@ -222,110 +244,18 @@ class SMAlloc(Transform):
             Array(shared_name, dims, storage="shared", layout="row", pad=pad, source=target)
         )
 
-        inserted_scopes: List[Tuple[Optional[Loop], str]] = []
-        for phase, bases, _ext, local, scope in plans:
-            self._insert_copy(
-                comp, ks, phase, target, shared_name, mode, bases, (e0, e1),
-                tx_n, ty_n, arr, inserted_scopes, scope,
-            )
-            self._rewrite_refs(phase, target, shared_name, mode, bases, local)
+        for phase, tiles, bases, scope in first_per_scope.values():
+            host = scope.body if scope is not None else ks.items
+            host[0:0] = [
+                _copy_phase(arr, shared_name, mode, bases, extents, tx_n, ty_n),
+                Barrier("smem tile ready"),
+            ]
+            _retarget(phase, target, tiles, bases, shared_name, mode)
 
         notes = [
             f"{target} -> {shared_name}[{dims[0]}][{dims[1]}] mode={mode} pad={pad}"
         ]
         return TransformResult(comp, notes=notes)
-
-    # ------------------------------------------------------------------
-    def _insert_copy(
-        self,
-        comp,
-        ks: KernelStructure,
-        phase: Loop,
-        target: str,
-        shared_name: str,
-        mode: str,
-        bases: List[AffineExpr],
-        extents: Tuple[int, int],
-        tx_n: int,
-        ty_n: int,
-        arr: Array,
-        inserted_scopes: List,
-        scope: Optional[Loop] = None,
-    ) -> None:
-        e0, e1 = extents
-        *lead_bases, base0, base1 = bases
-        scope_key = (id(scope) if scope else None, *[str(b) for b in bases])
-        if scope_key in [s[0] for s in inserted_scopes]:
-            return  # copy already staged for this scope/base combination
-        inserted_scopes.append((scope_key, target))
-
-        # Copy loops: inner loop walks the stride-1 (first, column-major)
-        # dimension of the source with threadIdx.x for coalescing.
-        ci = var("ci")
-        cj = var("cj")
-        src = ArrayRef(target, [*lead_bases, base0 + ci, base1 + cj])
-        if mode == "Transpose":
-            dst = ArrayRef(shared_name, [cj, ci])
-        else:
-            dst = ArrayRef(shared_name, [ci, cj])
-        if mode == "Symmetry":
-            mirror = ArrayRef(target, [*lead_bases, base1 + cj, base0 + ci])
-            lo_first = arr.symmetric != "upper"
-            real_cond = (
-                Cmp(base0 + ci, ">=", base1 + cj)
-                if lo_first
-                else Cmp(base0 + ci, "<=", base1 + cj)
-            )
-            body: List[Node] = [
-                Guard(
-                    real_cond,
-                    [Assign(dst, src)],
-                    [Assign(dst, mirror)],
-                    note="symmetric tile: mirror the shadow area",
-                )
-            ]
-        else:
-            body = [Assign(dst, src)]
-        inner = Loop("ci", aff("tx"), e0, body, label=fresh_label("Lci"), step=tx_n)
-        outer = Loop("cj", aff("ty"), e1, [inner], label=fresh_label("Lcj"), step=ty_n)
-        copy_phase = make_phase([outer], tx_n, ty_n, kind="copy")
-
-        if scope is not None:
-            scope.body.insert(0, copy_phase)
-            scope.body.insert(1, Barrier("smem tile ready"))
-        else:
-            ks.items.insert(0, Barrier("smem tile ready"))
-            ks.items.insert(0, copy_phase)
-
-    # ------------------------------------------------------------------
-    def _rewrite_refs(
-        self,
-        phase: Loop,
-        target: str,
-        shared_name: str,
-        mode: str,
-        bases: List[AffineExpr],
-        local: Dict[str, VarRange],
-    ) -> None:
-        *_lead_bases, base0, base1 = bases
-
-        def rewrite_expr(ref: ArrayRef) -> ArrayRef:
-            if ref.array != target:
-                return ref
-            # Only rewrite refs belonging to this staged (read-only) group.
-            parts = [split_base_span(ix, local) for ix in ref.indices]
-            ref_bases = [b for b, _s in parts]
-            if len(ref_bases) != len(bases) or any(
-                rb != b for rb, b in zip(ref_bases, bases)
-            ):
-                return ref
-            local0 = ref.indices[-2] - base0
-            local1 = ref.indices[-1] - base1
-            if mode == "Transpose":
-                return ArrayRef(shared_name, [local1, local0])
-            return ArrayRef(shared_name, [local0, local1])
-
-        map_statements(phase.body, lambda stmt: stmt.map_refs(rewrite_expr))
 
 
 class RegAlloc(Transform):
@@ -350,9 +280,14 @@ class RegAlloc(Transform):
         tx_n, ty_n = p.get("TX", 16), p.get("TY", 4)
 
         # All compute-phase refs must be the same accumulator reference.
-        phases = [ph for ph in ks.compute_phases() if _refs_in_phase(ph, target)]
+        phases: List[Loop] = []
+        all_refs: List[ArrayRef] = []
+        for ph in ks.compute_phases():
+            reads, writes = _read_write_refs(ph, target)
+            if reads or writes:
+                phases.append(ph)
+                all_refs += reads + writes
         require(bool(phases), f"no compute-phase references to {target}")
-        all_refs = [r for ph in phases for r in _refs_in_phase(ph, target)]
         first = all_refs[0]
         require(
             all(r == first for r in all_refs),
@@ -422,7 +357,7 @@ class RegAlloc(Transform):
                 body = [Loop(name, 0, trip, body, label=fresh_label(f"Lreg_{name}"))]
             return make_phase(body, tx_n, ty_n, kind="regload" if op_load else "regstore")
 
-        scope = _seq_loop_scope(ks, base_vars)
+        scope = _tile_loop(ks, phase0, base_vars)
         host_body = scope.body if scope is not None else ks.items
         host_body.insert(0, staging(op_load=True))
         host_body.insert(1, Barrier("registers loaded"))

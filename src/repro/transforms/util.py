@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..ir.ast import Guard, Loop, Node, Stage, fresh_label
+from ..ir.ast import Loop, Node, Stage, fresh_label
+from ..ir.visitors import walk_with_context
 from .base import TransformError, TransformFailure
 
 __all__ = [
@@ -135,36 +136,21 @@ class KernelStructure:
     def block_vars(self) -> List[str]:
         return [loop.var for loop in self.block_loops]
 
+    def _block_level_loops(self) -> List[Loop]:
+        """Loops of ``items`` that no mapped loop (within ``items``) encloses."""
+        return [
+            node
+            for node, enclosing in walk_with_context(self.items)
+            if isinstance(node, Loop) and all(lp.mapped_to is None for lp in enclosing)
+        ]
+
     def phases(self) -> List[Loop]:
         """All phases in block order, descending into sequential block loops."""
-        out: List[Loop] = []
-
-        def rec(nodes: Sequence[Node]) -> None:
-            for node in nodes:
-                if isinstance(node, Loop):
-                    if node.mapped_to == "thread.x":
-                        out.append(node)
-                    elif node.mapped_to is None:
-                        rec(node.body)
-                elif isinstance(node, Guard):
-                    rec(node.body)
-                    rec(node.else_body)
-
-        rec(self.items)
-        return out
+        return [lp for lp in self._block_level_loops() if lp.mapped_to == "thread.x"]
 
     def sequential_block_loops(self) -> List[Loop]:
         """Block-level sequential loops (kk tile loop, ibb row-block loop)."""
-        out: List[Loop] = []
-
-        def rec(nodes: Sequence[Node]) -> None:
-            for node in nodes:
-                if isinstance(node, Loop) and node.mapped_to is None:
-                    out.append(node)
-                    rec(node.body)
-
-        rec(self.items)
-        return out
+        return [lp for lp in self._block_level_loops() if lp.mapped_to is None]
 
     def compute_phases(self) -> List[Loop]:
         """Phases tagged as compute (excludes copy / register staging)."""

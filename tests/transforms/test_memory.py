@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.ir import validate
+from repro.ir import Array, build_computation, interpret, validate, var
+from repro.ir.visitors import iter_statements, locate
 from repro.transforms import (
     LoopTiling,
     LoopUnroll,
+    PeelTriangular,
     RegAlloc,
     SMAlloc,
     ThreadGrouping,
     TransformFailure,
+    memory,
 )
+from repro.transforms.footprint import split_base_span
 from repro.transforms.util import KernelStructure, phase_kind
 
-from .conftest import PARAMS, gemm_comp, run_gemm
+from .conftest import PARAMS, gemm_comp, run_gemm, run_trmm, trmm_comp, trsm_comp
 
 
 def pipeline(params=PARAMS):
@@ -92,6 +96,89 @@ class TestSMAlloc:
 
         with pytest.raises(TransformError):
             SMAlloc().apply(pipeline(), ("B", "Diagonal"), {})
+
+
+def tiled(comp, params=PARAMS):
+    r1 = ThreadGrouping().apply(comp, ("Li", "Lj"), params)
+    return LoopTiling().apply(r1.comp, (*r1.labels, "Lk"), {}).comp
+
+
+def arrays_in(phase):
+    return {r.array for s in iter_statements([phase]) for r in s.all_refs()}
+
+
+class TestSMAllocPlanning:
+    """Which references one SM_alloc stages, and where each copy goes."""
+
+    SQUARE_SRC = """
+    Li: for (i = 0; i < N; i++)
+    Lj:   for (j = 0; j < N; j++)
+    Lk:     for (k = 0; k < N; k++)
+              C[i][j] += A[i][k] * A[k][j];
+    """
+
+    def test_second_tile_geometry_stays_global(self):
+        # C += A·A with BM=16, BN=8, KT=4: A[k][j] covers a 4x8 tile,
+        # A[i][k] a 16x4 one; the shared array holds the first geometry.
+        comp = build_computation(
+            "SQUARE",
+            self.SQUARE_SRC,
+            [Array("A", (var("N"), var("N"))), Array("C", (var("N"), var("N")))],
+            dim_symbols=("N",),
+        )
+        out = SMAlloc().apply(tiled(comp, dict(PARAMS, BM=16)), ("A", "NoChange"), {}).comp
+        assert [d.constant_value for d in out.array("A_s").dims] == [4, 8]
+        (compute,) = KernelStructure(out.main_stage).compute_phases()
+        assert {"A", "A_s"} <= arrays_in(compute)
+        rng = np.random.default_rng(0)
+        a, c = (rng.standard_normal((32, 32)).astype(np.float32) for _ in range(2))
+        got = interpret(out, {"N": 32}, {"A": a, "C": c})["C"]
+        np.testing.assert_allclose(got, c + a @ a, rtol=1e-4, atol=1e-4)
+
+    def test_read_of_a_written_tile_is_not_retargeted(self):
+        # In-place TRSM: the division phase reads B[i][j], the tile it
+        # writes, so only the reduction's B[k][j] is staged.  KT = BM
+        # gives both the same 8x8 geometry, and each its own tile loop.
+        out = SMAlloc().apply(tiled(trsm_comp(), dict(PARAMS, KT=8)), ("B", "NoChange"), {}).comp
+        ks = KernelStructure(out.main_stage)
+        reduction, division = ks.compute_phases()
+        assert "B_s" in arrays_in(reduction)
+        assert arrays_in(division) == {"A", "B"}
+        assert [phase_kind(p) for p in ks.phases()].count("copy") == 1
+
+    def test_each_copy_stages_in_its_own_tile_loop(self):
+        # After peeling, a rectangular and a triangular kk loop each hold
+        # a compute phase; each stages B in the loop that encloses it.
+        peeled = PeelTriangular().apply(tiled(trmm_comp()), ("A",), {}).comp
+        out = SMAlloc().apply(peeled, ("B", "NoChange"), {}).comp
+        ks = KernelStructure(out.main_stage)
+        kks = ks.sequential_block_loops()
+        assert len(kks) == 2
+        for phase in ks.compute_phases():
+            (*_outer, kk), _container, _idx = locate(ks.items, phase)
+            assert kk in kks and phase_kind(kk.body[0]) == "copy"
+            assert "B_s" in arrays_in(phase)
+        got, want = run_trmm(out)
+        np.testing.assert_allclose(got, want, rtol=1e-3, atol=1e-4)
+
+    def test_each_reference_is_split_once(self, monkeypatch):
+        calls = []
+
+        def counting(expr, local):
+            calls.append(expr)
+            return split_base_span(expr, local)
+
+        monkeypatch.setattr(memory, "split_base_span", counting)
+        comp = pipeline()
+        refs = {
+            r
+            for phase in KernelStructure(comp.main_stage).compute_phases()
+            for s in iter_statements([phase])
+            for r in s.all_refs()
+            if r.array == "B"
+        }
+        SMAlloc().apply(comp, ("B", "Transpose"), {})
+        assert len(calls) == sum(len(r.indices) for r in refs) > 0
 
 
 class TestRegAlloc:
