@@ -23,9 +23,9 @@ one dispatch-table entry and micro-batch together, while the fusion
 pipeline (:mod:`repro.composer.fuse`, :mod:`repro.tuner.chain`) decides
 per edge whether adjacent nodes' loop nests merge into one kernel.
 
-Single calls are one-node DAGs — :meth:`Dag.single` is what
-:meth:`repro.serve.BlasService.submit` attaches internally, so the
-legacy surface and the graph surface are the same machinery.
+A one-node DAG (:meth:`Dag.single`) is served as the plain call it
+wraps: :meth:`repro.serve.Request.graph` turns it into the same request
+:meth:`repro.serve.BlasService.submit` builds.
 """
 
 from __future__ import annotations
@@ -285,8 +285,8 @@ class Dag:
         cls, routine: str, *, alpha: float = 1.0, beta: float = 1.0,
         operands: Optional[Sequence[str]] = None,
     ) -> "Dag":
-        """The one-node DAG of a plain call (what :meth:`BlasService.submit`
-        attaches): each bound operand is an input leaf named after itself."""
+        """The one-node DAG of a plain call: each bound operand is an
+        input leaf named after itself."""
         spec = get_spec(routine)
         names = (
             list(operands)
@@ -369,11 +369,17 @@ class Dag:
         ``{"n<i>.<dim>": extent}`` — joins :meth:`fingerprint` in the
         micro-batcher's group key so identical DAG shapes coalesce."""
         shapes = {name: np.asarray(arr).shape for name, arr in arrays.items()}
-        flat: Dict[str, int] = {}
-        for i, sizes in enumerate(self.node_sizes(shapes)):
-            for symbol, extent in sizes.items():
-                flat[f"n{i}.{symbol}"] = extent
-        return flat
+        return self.flat_sizes(self.node_sizes(shapes))
+
+    @staticmethod
+    def flat_sizes(node_sizes: Sequence[Mapping[str, int]]) -> Dict[str, int]:
+        """Per-node sizes (:meth:`node_sizes`) as the flat
+        :meth:`canonical_sizes` dict."""
+        return {
+            f"n{i}.{symbol}": extent
+            for i, sizes in enumerate(node_sizes)
+            for symbol, extent in sizes.items()
+        }
 
     def output_shape(
         self, arrays: Mapping[str, np.ndarray]

@@ -25,12 +25,17 @@ __all__ = [
 ]
 
 
-def walk(body: Sequence[Node]) -> Iterator[Node]:
-    """Yield every node in ``body``, preorder."""
+def walk(
+    body: Sequence[Node], descend: Optional[Callable[[Node], bool]] = None
+) -> Iterator[Node]:
+    """Yield every node in ``body``, preorder; with ``descend``, only the
+    children of the nodes it accepts."""
     stack: List[Node] = list(reversed(body))
     while stack:
         node = stack.pop()
         yield node
+        if descend is not None and not descend(node):
+            continue
         if isinstance(node, Loop):
             stack.extend(reversed(node.body))
         elif isinstance(node, Guard):

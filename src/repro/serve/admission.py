@@ -1,18 +1,19 @@
-"""Admission control for the sharded serving tier.
+"""Admission control of one dispatcher queue.
 
-A loaded shard that keeps accepting work converts overload into
+A loaded queue that keeps accepting work converts overload into
 unbounded queue wait: every queued request's latency grows with the
 backlog, and the tail (p99) grows fastest.  The admission controller
 bounds that tail by *shedding* — rejecting new requests at the door once
-a shard's queue depth reaches a high-water mark.  A shed request is
-answered instantly with ``Response(source="shed")`` (its ``result()``
-raises :class:`~repro.serve.request.ServeError`), which callers can
-retry, redirect, or degrade on — a fast, explicit "no" instead of a
-slow, implicit "yes".
+the queue depth reaches a high-water mark.  A shed request is answered
+instantly with ``Response(source="shed")`` (its ``result()`` raises
+:class:`~repro.serve.request.ServeError`), which callers can retry,
+redirect, or degrade on — a fast, explicit "no" instead of a slow,
+implicit "yes".
 
-Counters: ``serve.shed`` (total rejections) and ``serve.shard.<i>.shed``
-(per shard), so dashboards can tell a single hot shard from tier-wide
-overload.
+Every :class:`~repro.serve.service.BlasService` owns one and judges each
+arrival under the lock that enqueues it.  Counters: ``serve.shed``, and
+``serve.shard.<i>.shed`` for a shard of the sharded tier, so dashboards
+can tell a single hot shard from tier-wide overload.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ __all__ = ["AdmissionController"]
 
 
 class AdmissionController:
-    """Queue-depth load shedding for one tier of dispatcher shards.
+    """Queue-depth load shedding for one dispatcher queue.
 
-    ``high_water`` is the per-shard queue depth at which new requests
-    are rejected; ``None`` admits everything (the controller becomes a
+    ``high_water`` is the queue depth at which new requests are
+    rejected; ``None`` admits everything (the controller becomes a
     pass-through that still records the depths it judges).
     """
 
@@ -41,16 +42,18 @@ class AdmissionController:
             raise ValueError("admission high_water must be >= 1 (or None)")
         self.high_water = high_water
         self.telemetry = ensure_telemetry(telemetry)
+        #: counters incremented per shed request
+        self.counters = ("serve.shed",)
         #: deepest queue an arrival has met (the replay's depth gauge)
         self.peak_depth = 0
         self.shed = 0
 
-    def admit(self, shard_index: int, queue_depth: int) -> bool:
-        """Whether a request may enter the shard's queue at this depth."""
+    def admit(self, queue_depth: int) -> bool:
+        """Whether a request may enter the queue at this depth."""
         self.peak_depth = max(self.peak_depth, queue_depth)
         if self.high_water is not None and queue_depth >= self.high_water:
             self.shed += 1
-            self.telemetry.incr("serve.shed")
-            self.telemetry.incr(f"serve.shard.{shard_index}.shed")
+            for name in self.counters:
+                self.telemetry.incr(name)
             return False
         return True

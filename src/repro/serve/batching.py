@@ -3,7 +3,7 @@
 Concurrent same-shape requests coalesce into one simulated-GPU launch:
 the batcher holds the FIFO of pending requests and, on drain, pulls the
 head request plus every queued request sharing its
-:meth:`~repro.serve.request.Request.group_key` (up to ``max_batch``).
+:attr:`~repro.serve.request.Request.group_key` (up to ``max_batch``).
 Submission order is preserved both across batches (the head picks the
 group) and within a batch, so serving is deterministic regardless of
 how submitter threads interleave.
@@ -16,7 +16,7 @@ pure data structure guarded by the service's lock.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .request import Request
 
@@ -28,7 +28,7 @@ class MicroBatcher:
 
     With ``pack=True`` a second coalescing tier activates: when the
     head's exact-shape group leaves the batch under-full, queued small
-    GEMM calls sharing the head's :meth:`~Request.pack_key` shape
+    GEMM calls sharing the head's :attr:`~Request.pack_key` shape
     *class* (same routine, different data, possibly different shapes)
     join as riders — the service pads them into one strided-batched
     launch.  Exact-group members always outrank riders, and both tiers
@@ -48,6 +48,8 @@ class MicroBatcher:
         return len(self._queue)
 
     def append(self, request: Request) -> None:
+        # the keys are computed once, here; extraction compares them
+        _ = request.group_key, request.pack_key if self.pack else None
         self._queue.append(request)
         self.peak_depth = max(self.peak_depth, len(self._queue))
 
@@ -69,23 +71,22 @@ class MicroBatcher:
         batch: List[Request] = []
         if not self._queue:
             return batch, []
+        head = self._queue[0]
         rest = self._take(
-            self._queue, batch, Request.group_key, self._queue[0].group_key()
+            self._queue, batch, lambda r: r.group_key == head.group_key
         )
-        if self.pack and len(batch) < self.max_batch:
-            pkey = batch[0].pack_key()
-            if pkey is not None:
-                rest = self._take(rest, batch, Request.pack_key, pkey)
+        if self.pack and len(batch) < self.max_batch and head.pack_key is not None:
+            rest = self._take(rest, batch, lambda r: r.pack_key == head.pack_key)
         return batch, rest
 
-    def _take(self, queue, batch, key_of, key) -> List[Request]:
-        """Move the queued requests whose ``key_of(request) == key`` into
-        ``batch`` until it is full; returns the rest in queue order."""
+    def _take(self, queue, batch, joins: Callable[[Request], bool]) -> List[Request]:
+        """Move the queued requests that ``joins`` accepts into ``batch``
+        until it is full; returns the rest in queue order."""
         rest: List[Request] = []
         for index, request in enumerate(queue):
             if len(batch) == self.max_batch:
                 return rest + queue[index:]
-            if key_of(request) == key:
+            if joins(request):
                 batch.append(request)
             else:
                 rest.append(request)

@@ -13,9 +13,12 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
+
+from ..blas3.routines import get_spec, infer_sizes
 
 __all__ = ["Request", "Response", "PendingResult", "ServeError", "as_completed"]
 
@@ -31,43 +34,96 @@ class ServeError(RuntimeError):
 
 @dataclass
 class Request:
-    """One submitted BLAS3 call."""
+    """One submitted BLAS3 call, sized once at the door.
+
+    :meth:`call` and :meth:`graph` build requests and size them; every
+    later reader uses :attr:`sizes`, and a call that cannot be sized is
+    answered with its :attr:`sizing_error`.  The queue that admits a
+    request stamps its :attr:`id`, :attr:`submitted_at` and default
+    deadline.
+    """
 
     id: int
     routine: str
     arrays: Dict[str, np.ndarray]
     alpha: float = 1.0
     beta: float = 1.0
+    #: dimension sizes; a DAG's are flat, ``{"n<i>.<dim>": extent}``
     sizes: Optional[Dict[str, int]] = None
     #: relative deadline budget in seconds (None = no deadline)
     deadline_s: Optional[float] = None
     #: service clock reading at submit time
     submitted_at: float = 0.0
-    #: the :class:`repro.dag.Dag` behind this request.  Single calls
-    #: carry their one-node DAG; multi-node requests additionally set
-    #: ``routine`` to ``dag.routine_key`` and ``sizes`` to
-    #: ``dag.canonical_sizes`` so dispatch keys on graph structure.
+    #: the multi-node :class:`repro.dag.Dag` of a chained request, whose
+    #: ``routine`` is then ``dag.routine_key``; None for a single call
     dag: Optional[object] = None
+    #: a chained request's sizes per node
+    node_sizes: Optional[List[Dict[str, int]]] = None
+    sizing_error: Optional[Exception] = None
+
+    @classmethod
+    def call(
+        cls, routine: str, arrays: Mapping[str, np.ndarray], *,
+        alpha: float = 1.0, beta: float = 1.0,
+        sizes: Optional[Mapping[str, int]] = None,
+        deadline_s: Optional[float] = None,
+    ) -> "Request":
+        """A single call, sized by ``infer_sizes`` unless ``sizes`` is given."""
+        spec = get_spec(routine)  # canonicalises + validates the name
+        arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+        error = None
+        if sizes is not None:
+            sizes = dict(sizes)
+        else:
+            try:
+                sizes = infer_sizes(spec, arrays)
+            except ValueError as exc:
+                error = exc
+        return cls(0, spec.name, arrays, alpha, beta, sizes, deadline_s, sizing_error=error)
+
+    @classmethod
+    def graph(
+        cls, dag, arrays: Mapping[str, np.ndarray], *, deadline_s: Optional[float] = None
+    ) -> "Request":
+        """A DAG request: a one-node DAG is the plain call it wraps, a
+        multi-node one is sized by one ``dag.node_sizes`` pass."""
+        if len(dag) == 1:
+            node = dag.nodes[0]
+            operands = {op: arrays[sym] for op, sym in node.operands.items()}
+            return cls.call(
+                node.routine, operands, alpha=node.alpha, beta=node.beta, deadline_s=deadline_s
+            )
+        arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+        request = cls(0, dag.routine_key, arrays, deadline_s=deadline_s, dag=dag)
+        try:
+            request.node_sizes = dag.node_sizes({k: a.shape for k, a in arrays.items()})
+        except ValueError as exc:
+            request.sizing_error = exc
+        else:
+            request.sizes = dag.flat_sizes(request.node_sizes)
+        return request
 
     @property
     def chained(self) -> bool:
         """Whether this request is a multi-node DAG (chain) request."""
-        return self.dag is not None and len(self.dag) > 1
+        return self.dag is not None
 
+    @cached_property
     def group_key(self) -> Tuple:
         """Coalescing key: requests agreeing on it batch into one launch.
 
         Same routine, same array shapes, same scaling — the dispatch
-        work (plan lookup, sizing, bucketing) is identical for every
-        member, so the batch pays it once.  Deadline *presence* is part
-        of the key: plan resolution branches on whether the head can
-        afford a cold tune, so a deadline-bound head must never decide
-        for deadline-free riders (or vice versa).  The budget value
-        itself stays out — same-presence requests resolve identically
-        and per-request expiry is checked at serve time.
+        work (plan lookup, bucketing) is identical for every member, so
+        the batch pays it once.  Deadline *presence* is part of the key:
+        plan resolution branches on whether the head can afford a cold
+        tune, so a deadline-bound head must never decide for
+        deadline-free riders (or vice versa).  The budget value itself
+        stays out — same-presence requests resolve identically and
+        per-request expiry is checked at serve time.  Computed on first
+        use, after the queue stamped the deadline.
         """
         shapes = tuple(
-            (name, np.asarray(arr).shape) for name, arr in sorted(self.arrays.items())
+            (name, np.shape(arr)) for name, arr in sorted(self.arrays.items())
         )
         sizes = tuple(sorted(self.sizes.items())) if self.sizes else None
         return (
@@ -83,37 +139,27 @@ class Request:
         """Whether the deadline budget is spent at clock reading ``now``."""
         return self.deadline_s is not None and (now - self.submitted_at) > self.deadline_s
 
+    @cached_property
     def pack_key(self) -> Optional[Tuple]:
         """Shape-*class* coalescing key for cross-request packing.
 
-        Where :meth:`group_key` requires identical shapes,
+        Where :attr:`group_key` requires identical shapes,
         ``pack_key`` buckets small GEMM calls by the power-of-two
         ceiling of their *largest* dimension — the same class the
         dispatch table buckets by, so every member of a pack class
         already shares a plan.  Requests agreeing on it can ride one
         strided-batched (BGEMM) launch, zero-padded to the batch's
-        per-dimension maxima.  Returns ``None`` for calls that cannot
-        pack — non-GEMM routines, or any dimension above
+        per-dimension maxima.  ``None`` for calls that cannot pack —
+        non-GEMM routines, unsized calls, or any dimension above
         :data:`PACK_MAX_DIM`.
 
         Deadline *presence* stays part of the key for the same reason
         it is part of ``group_key``: resolving the batched plan
         branches on whether the batch can afford a cold tune.
         """
-        family = self.routine.split("-", 1)[0]
-        if family != "GEMM":
+        if self.sizes is None or self.routine.split("-", 1)[0] != "GEMM":
             return None
-        from ..blas3.routines import get_spec, infer_sizes
-
-        try:
-            sizes = (
-                dict(self.sizes)
-                if self.sizes is not None
-                else infer_sizes(get_spec(self.routine), self.arrays)
-            )
-        except Exception:
-            return None
-        dims = [int(v) for k, v in sizes.items() if k != "P"]
+        dims = [int(v) for k, v in self.sizes.items() if k != "P"]
         if not dims or max(dims) > PACK_MAX_DIM or min(dims) < 1:
             return None
         largest = max(dims)

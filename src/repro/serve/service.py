@@ -4,7 +4,12 @@ The paper generates a tuned library once; this module *serves* it.  A
 :class:`BlasService` answers a stream of BLAS3 calls through four
 cooperating mechanisms:
 
-* **dispatch** — every request is sized, bucketed and routed through a
+* **the door** — every request is sized once when it is built
+  (:meth:`Request.call` / :meth:`Request.graph`), and admitted or shed
+  at ``ServeOptions.shed_high_water`` under the lock that enqueues it
+  (:mod:`repro.serve.admission`).  Routing, plan resolution, packing,
+  fallback and the kernels all read the stored sizes.
+* **dispatch** — every request is bucketed and routed through a
   ``(routine, arch, size-bucket)`` plan table with an LRU hot-plan cache
   (:mod:`repro.serve.dispatch`).  A plan miss tunes lazily through the
   PR 2 on-disk cache, so the *second* process start never searches.
@@ -38,8 +43,10 @@ unpacked batch is simply one group.  Single calls and DAGs resolve their
 plans through one resolver, ``_resolve_plan``, and every response —
 tuned, packed, fallback, deadline-expired or error — is built and
 fulfilled at one answer site, ``_answer``, inside that request's
-``serve.request`` span.  So each submitted request is answered exactly
-once, whichever path it took.
+``serve.request`` span; a request that could not be sized is answered
+``source="error"`` there too.  Only a shed request is answered at the
+door, before it is queued.  So each submitted request is answered
+exactly once, whichever path it took.
 
 Two execution modes share that path:
 
@@ -72,15 +79,16 @@ import numpy as np
 
 from ..baselines.cublas import cublas_kernel
 from ..blas3.reference import reference
-from ..blas3.routines import epilogue, get_spec, infer_sizes
+from ..blas3.routines import epilogue, get_spec
 from ..dag import Dag, Expr
 from ..dist import DistLibrary, single_node
 from ..gpu.arch import GPUArch, GTX_285
 from ..telemetry import Telemetry, ensure_telemetry
-from ..tuner.chain import build_chain_plan, node_sizes_from_canonical
+from ..tuner.chain import build_chain_plan
 from ..tuner.library import LibraryGenerator, TunedRoutine
 from ..tuner.options import TuningOptions
 from ..tuner.space import small_space
+from .admission import AdmissionController
 from .batching import MicroBatcher
 from .dispatch import MIN_BUCKET, DispatchTable, Plan, PlanKey, size_bucket
 from .request import PendingResult, Request, Response
@@ -134,10 +142,10 @@ class ServeOptions:
     #: (:func:`repro.tuner.space.small_space`), so an N=8 call stops
     #: paying for the padded 16-class plan.
     min_bucket: int = MIN_BUCKET
-    #: per-shard queue-depth high-water mark for the sharded tier's
-    #: admission control: at or beyond this depth new requests are shed
-    #: (answered instantly with ``source="shed"``) instead of queued.
-    #: None = admit everything.
+    #: queue-depth high-water mark of every service's admission control
+    #: (each shard of a sharded tier judges its own queue): at or beyond
+    #: this depth new requests are shed (answered instantly with
+    #: ``source="shed"``) instead of queued.  None = admit everything.
     shed_high_water: Optional[int] = None
     #: let the chain tuner fuse adjacent DAG nodes into single kernels
     #: where legal and modeled profitable (False: DAG requests still
@@ -214,6 +222,9 @@ class BlasService:
         self._batcher = MicroBatcher(
             self.options.max_batch, pack=self.options.pack_requests
         )
+        self.admission = AdmissionController(
+            self.options.shed_high_water, telemetry=self.telemetry
+        )
         self._pending: Dict[int, PendingResult] = {}
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -271,25 +282,9 @@ class BlasService:
         ``.output()``.  Without a running dispatcher thread, call
         :meth:`flush` (or use :meth:`run`) to process the queue.
         """
-        spec = get_spec(routine)  # canonicalises + validates the name
-        bound = [array.name for array in spec.arrays if array.name in arrays]
-        try:
-            # single calls are one-node DAGs internally: the legacy
-            # surface and the graph surface are the same machinery
-            dag = Dag.single(spec.name, alpha=alpha, beta=beta, operands=bound)
-        except ValueError:
-            # under-bound call: still queued, answered at serve time
-            # with source="error" exactly as before the DAG surface
-            dag = None
-        return self._enqueue(
-            spec.name,
-            arrays,
-            deadline_s,
-            dag,
-            alpha=alpha,
-            beta=beta,
-            sizes=dict(sizes) if sizes is not None else None,
-        )
+        return self._enqueue(Request.call(
+            routine, arrays, alpha=alpha, beta=beta, sizes=sizes, deadline_s=deadline_s
+        ))
 
     def submit_dag(
         self,
@@ -301,65 +296,63 @@ class BlasService:
         """Enqueue one expression-DAG request (keyword arrays bind the
         DAG's named inputs).
 
-        A one-node DAG delegates to :meth:`submit` — same plan table,
-        same counters, bit-identical result.  Multi-node DAGs dispatch
-        as ONE unit keyed on the graph's canonical fingerprint
+        A one-node DAG is served as the plain call it wraps — same plan
+        table, same counters, bit-identical result.  Multi-node DAGs
+        dispatch as ONE unit keyed on the graph's canonical fingerprint
         (:attr:`repro.dag.Dag.routine_key`), so identical DAG shapes
         share a plan and micro-batch together; the resolved
         :class:`~repro.tuner.chain.ChainPlan` fuses adjacent nodes when
         ``ServeOptions.fuse_dags`` is set and the tuner finds fusion
-        both legal and modeled profitable.
+        both legal and modeled profitable.  Operands whose shapes
+        disagree are answered ``source="error"``, like a single call's.
 
         Counters: ``serve.dag.requests`` / ``serve.dag.nodes`` /
         ``serve.dag.single``.
         """
         dag = dag if isinstance(dag, Dag) else Dag(dag)
         if len(dag) == 1:
-            node = dag.nodes[0]
             self.telemetry.incr("serve.dag.single")
-            return self.submit(
-                node.routine,
-                alpha=node.alpha,
-                beta=node.beta,
-                deadline_s=deadline_s,
-                **{op: arrays[sym] for op, sym in node.operands.items()},
-            )
-        sizes = dag.canonical_sizes(arrays)
-        self.telemetry.incr("serve.dag.requests")
-        self.telemetry.incr("serve.dag.nodes", len(dag))
-        return self._enqueue(dag.routine_key, arrays, deadline_s, dag, sizes=sizes)
+        return self._enqueue(Request.graph(dag, arrays, deadline_s=deadline_s))
 
-    def _enqueue(
-        self,
-        routine: str,
-        arrays: Mapping[str, np.ndarray],
-        deadline_s: Optional[float],
-        dag: Optional[Dag],
-        **fields,
-    ) -> PendingResult:
-        """Build, register and queue one request (every submit surface)."""
-        if deadline_s is None:
-            deadline_s = self.options.default_deadline_s
-        request = Request(
-            id=next(self._ids),
-            routine=routine,
-            arrays={k: np.asarray(v) for k, v in arrays.items()},
-            deadline_s=deadline_s,
-            submitted_at=self.clock(),
-            dag=dag,
-            **fields,
-        )
-        pending = PendingResult(request.id, telemetry=self.telemetry)
-        self.telemetry.incr("serve.requests")
+    def _enqueue(self, request: Request) -> PendingResult:
+        """Number, stamp, admit and queue one sized request (every
+        submit surface, the sharded tier's included).
+
+        Admission judges the queue depth under the lock that appends,
+        so concurrent submitters never push the queue past
+        ``shed_high_water``.
+        """
+        request.id = next(self._ids)
+        request.submitted_at = self.clock()
+        if request.deadline_s is None:
+            request.deadline_s = self.options.default_deadline_s
         with self._lock:
+            depth = len(self._batcher)
+            if not self.admission.admit(depth):
+                return self._shed(request, depth)
+            pending = PendingResult(request.id, telemetry=self.telemetry)
             self._pending[request.id] = pending
             self._batcher.append(request)
+            self.telemetry.incr("serve.requests")
+            if request.chained:
+                self.telemetry.incr("serve.dag.requests")
+                self.telemetry.incr("serve.dag.nodes", len(request.dag))
             self.telemetry.incr("serve.queue.enqueued")
             depth = self._batcher.peak_depth
             if depth > self._peak_reported:
                 self.telemetry.incr("serve.queue.peak_depth", depth - self._peak_reported)
                 self._peak_reported = depth
             self._cond.notify_all()
+        return pending
+
+    def _shed(self, request: Request, depth: int) -> PendingResult:
+        """Instant rejection: a pre-fulfilled future with a negative id,
+        never queued."""
+        pending = PendingResult(-request.id)
+        pending.fulfill(Response(
+            request_id=-request.id, routine=request.routine, source="shed",
+            error=f"shed: queue depth {depth} >= high-water {self.admission.high_water}",
+        ))
         return pending
 
     def run(self, routine: str, **kwargs) -> np.ndarray:
@@ -403,10 +396,11 @@ class BlasService:
             "plans": len(self.table),
             "queue_depth": queue_depth,
             "peak_queue_depth": peak,
+            "shed": self.admission.shed,
         }
 
     def queue_depth(self) -> int:
-        """Requests queued right now (the admission-control signal)."""
+        """Requests queued right now."""
         with self._lock:
             return len(self._batcher)
 
@@ -559,11 +553,6 @@ class BlasService:
             self._cond.wait(timeout=remaining)
 
     # -- execution -----------------------------------------------------
-    def _sizes_for(self, request: Request) -> Dict[str, int]:
-        if request.sizes is not None:
-            return dict(request.sizes)
-        return infer_sizes(get_spec(request.routine), request.arrays)
-
     def _bucket(self, sizes: Mapping[str, int]) -> int:
         return size_bucket(sizes, floor=self.options.min_bucket)
 
@@ -619,14 +608,13 @@ class BlasService:
         on-disk cache; a single call first tries the cost model's
         predicted plan, a DAG degrades to the baseline directly.
         """
-        sizes = self._sizes_for(request)
-        bucket = self._bucket(sizes)
+        bucket = self._bucket(request.sizes)
         key: PlanKey = (request.routine, self.arch.name, bucket)
         plan = self.table.lookup(key)
         if plan is not None:
             return plan, None
         generator = self._generator_for(bucket)
-        dag = request.dag if request.chained else None
+        dag = request.dag
         routines = [request.routine] if dag is None else [n.routine for n in dag.nodes]
         if request.deadline_s is not None and not all(
             generator.has_cached(routine) for routine in routines
@@ -657,7 +645,7 @@ class BlasService:
                 tuned = build_chain_plan(
                     dag,
                     generator,
-                    node_sizes=node_sizes_from_canonical(dag, sizes),
+                    node_sizes=request.node_sizes,
                     fuse=self.options.fuse_dags,
                     telemetry=self.telemetry,
                 )
@@ -750,7 +738,7 @@ class BlasService:
                     # plan and sizes.
                     split: Dict[Tuple, List[Request]] = {}
                     for request in batch:
-                        split.setdefault(request.group_key(), []).append(request)
+                        split.setdefault(request.group_key, []).append(request)
                     groups = list(split.values())
             for group in groups:
                 self._execute_group(group, started, launch)
@@ -761,6 +749,9 @@ class BlasService:
         """Serve one same-``group_key`` batch through a shared plan."""
         first = batch[0]
         try:
+            if first.sizing_error is not None:
+                # a group shares its shapes, so every member failed alike
+                raise first.sizing_error
             plan, fallback_reason = self._resolve_plan(first)
         except Exception as exc:  # un-servable routine/shape
             for request in batch:
@@ -804,15 +795,14 @@ class BlasService:
         multiply-accumulate volume — the price of shape-class mixing).
         """
         first = batch[0]
-        if first.chained:
+        if first.chained or first.sizing_error is not None:
             return False
         spec = get_spec(first.routine)
         if spec.variant.family != "GEMM":
             return False
         try:
-            sized = [(request, self._sizes_for(request)) for request in batch]
-            dims = {sym: max(s[sym] for _r, s in sized) for sym in spec.dim_symbols}
-        except Exception:
+            dims = {sym: max(r.sizes[sym] for r in batch) for sym in spec.dim_symbols}
+        except KeyError:  # explicit sizes missing a dimension
             return False
         probe = Request(
             id=first.id,
@@ -833,8 +823,8 @@ class BlasService:
         # clock, exactly like the per-group path, and expired members
         # fall back before the launch.
         resolved_at = self.clock()
-        live = [(r, s) for r, s in sized if not r.expired(resolved_at)]
-        for request, _sizes in sized:
+        live = [r for r in batch if not r.expired(resolved_at)]
+        for request in batch:
             if request.expired(resolved_at):
                 self._serve_one(
                     request, None, None, None, len(batch), started, resolved_at
@@ -849,11 +839,12 @@ class BlasService:
             members = [
                 spec.pad(
                     spec.logical_inputs(
-                        {name: request.arrays[name] for name in operands}, s
+                        {name: request.arrays[name] for name in operands},
+                        request.sizes,
                     ),
                     dims,
                 )
-                for request, s in live
+                for request in live
             ]
             packed = plan.tuned._execute(
                 {name: np.stack([m[name] for m in members]) for name in operands},
@@ -865,7 +856,7 @@ class BlasService:
             steps = [partial(_reraise, exc)] * p
         else:
             logical_macs = sum(
-                math.prod(s[sym] for sym in spec.dim_symbols) for _r, s in live
+                math.prod(r.sizes[sym] for sym in spec.dim_symbols) for r in live
             )
             launch.tags["source"] = "tuned"
             launch.tags["packed"] = p
@@ -875,10 +866,10 @@ class BlasService:
                 "serve.pack_waste", p * math.prod(dims.values()) - logical_macs
             )
             steps = [
-                partial(_unpack, packed, i, request, spec, s)
-                for i, (request, s) in enumerate(live)
+                partial(_unpack, packed, i, request, spec)
+                for i, request in enumerate(live)
             ]
-        for (request, _s), step in zip(live, steps):
+        for request, step in zip(live, steps):
             self._answer(request, len(batch), started, step, packed=True)
         return True
 
@@ -957,7 +948,9 @@ class BlasService:
         backend: Optional[DistLibrary],
     ) -> np.ndarray:
         if request.chained:
-            output = plan.tuned.execute(request.dag, request.arrays)
+            output = plan.tuned.execute(
+                request.dag, request.arrays, request.node_sizes
+            )
             self.telemetry.incr(
                 "serve.dag.fused" if plan.tuned.fused else "serve.dag.unfused"
             )
@@ -991,7 +984,7 @@ class BlasService:
                 # plans match
                 out = request.dag.reference(request.arrays)
             else:
-                n = max(self._sizes_for(request).values())
+                n = max(request.sizes.values())
                 try:
                     run = cublas_kernel(request.routine).profile(self.arch, n)
                     span.tags["model_gflops"] = round(run.gflops, 1)
@@ -1020,12 +1013,10 @@ def _reraise(exc: Exception) -> np.ndarray:
     raise exc
 
 
-def _unpack(
-    packed: np.ndarray, i: int, request: Request, spec, sizes: Mapping[str, int]
-) -> np.ndarray:
+def _unpack(packed: np.ndarray, i: int, request: Request, spec) -> np.ndarray:
     """Member ``i``'s logical slice of a packed launch, with its own
     ``alpha``/``beta`` epilogue."""
-    window = tuple(slice(0, e) for e in spec.extent(spec.output, sizes))
+    window = tuple(slice(0, e) for e in spec.extent(spec.output, request.sizes))
     c_in = request.arrays.get(spec.output)
     if c_in is not None:
         c_in = np.asarray(c_in, dtype=np.float32)[window]

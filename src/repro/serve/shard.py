@@ -19,11 +19,14 @@ Why consistent hashing rather than round-robin:
   newcomers rehydrate those from the persisted plan snapshot
   (:meth:`ShardedBlasService.rehydrate_plans`) instead of re-tuning.
 
-The ingress applies admission control before enqueueing: when the owner
-shard's queue depth is at the ``shed_high_water`` mark, the request is
-*shed* — answered immediately with ``Response(source="shed")`` rather
-than deepening an already-overloaded queue (see
-:mod:`repro.serve.admission`).
+The ingress builds and sizes each request once
+(:meth:`~repro.serve.request.Request.call` /
+:meth:`~repro.serve.request.Request.graph`), routes it by its stored
+sizes and hands it to the owner shard's queue.  Admission happens there,
+under the lock that enqueues: when the owner's queue depth is at the
+``shed_high_water`` mark, the request is *shed* — answered immediately
+with ``Response(source="shed")`` rather than deepening an
+already-overloaded queue (see :mod:`repro.serve.admission`).
 
 Counters: ``serve.shard.routed``, ``serve.shard.<i>.routed``,
 ``serve.shed``, ``serve.shard.<i>.shed``, ``serve.snapshot.stored``,
@@ -34,20 +37,18 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import itertools
 import time
 from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..blas3.routines import get_spec, infer_sizes
+from ..blas3.routines import get_spec
 from ..dag import Dag, Expr
 from ..gpu.arch import GPUArch, GTX_285
 from ..telemetry import Telemetry, ensure_telemetry
 from ..tuner.options import TuningOptions
-from .admission import AdmissionController
 from .dispatch import Plan, PlanKey, size_bucket
-from .request import PendingResult, Response
+from .request import PendingResult, Request
 from .service import BlasService, ServeOptions
 
 __all__ = ["ShardRouter", "ShardedBlasService"]
@@ -136,9 +137,6 @@ class ShardedBlasService:
         self.telemetry = ensure_telemetry(telemetry)
         self.clock = clock
         self.router = ShardRouter(shards, replicas=replicas)
-        self.admission = AdmissionController(
-            self.options.shed_high_water, telemetry=self.telemetry
-        )
         self.workers: List[BlasService] = [
             self._worker_type(
                 arch,
@@ -149,7 +147,8 @@ class ShardedBlasService:
             )
             for _ in range(shards)
         ]
-        self._shed_ids = itertools.count(1)
+        for shard, worker in enumerate(self.workers):
+            worker.admission.counters += (f"serve.shard.{shard}.shed",)
 
     @property
     def shards(self) -> int:
@@ -180,21 +179,13 @@ class ShardedBlasService:
         bucket = floor if sizes is None else size_bucket(sizes, floor=floor)
         return self.router.route(routine, bucket)
 
-    def _admit(
-        self,
-        routine: str,
-        sizes: Optional[Mapping[str, int]],
-        submit: Callable[[BlasService], PendingResult],
-    ) -> PendingResult:
-        """``submit`` to the owner shard, or shed at its high water."""
-        shard = self._owner(routine, sizes)
+    def _route(self, request: Request) -> PendingResult:
+        """Queue a sized request on its owner shard, which admits it or
+        sheds it."""
+        shard = self._owner(request.routine, request.sizes)
         self.telemetry.incr("serve.shard.routed")
         self.telemetry.incr(f"serve.shard.{shard}.routed")
-        worker = self.workers[shard]
-        depth = worker.queue_depth()
-        if not self.admission.admit(shard, depth):
-            return self._shed(routine, shard, depth)
-        return submit(worker)
+        return self.workers[shard]._enqueue(request)
 
     def route(
         self, routine: str, sizes: Mapping[str, int]
@@ -212,25 +203,10 @@ class ShardedBlasService:
         deadline_s: Optional[float] = None,
         **arrays: np.ndarray,
     ) -> PendingResult:
-        """Route one call to its owner shard (or shed it at the door)."""
-        spec = get_spec(routine)
-        if sizes is None:
-            try:
-                sizes = infer_sizes(spec, arrays)
-            except ValueError:
-                sizes = None  # unsizable: the owner answers the error
-        return self._admit(
-            spec.name,
-            sizes,
-            lambda worker: worker.submit(
-                routine,
-                alpha=alpha,
-                beta=beta,
-                sizes=sizes,
-                deadline_s=deadline_s,
-                **arrays,
-            ),
-        )
+        """Route one call to its owner shard (which may shed it)."""
+        return self._route(Request.call(
+            routine, arrays, alpha=alpha, beta=beta, sizes=sizes, deadline_s=deadline_s
+        ))
 
     def submit_dag(
         self,
@@ -239,47 +215,16 @@ class ShardedBlasService:
         deadline_s: Optional[float] = None,
         **arrays: np.ndarray,
     ) -> PendingResult:
-        """Route one DAG request to its owner shard (or shed it).
+        """Route one DAG request to its owner shard (which may shed it).
 
         Multi-node DAGs route by ``(dag.routine_key, size-bucket)`` —
         the same consistent-hash key discipline as single calls, so all
         traffic for one DAG shape lands on one shard and its chain plan
-        is tuned exactly once.  One-node DAGs delegate to
-        :meth:`submit` and route like the plain call they are.
+        is tuned exactly once.  One-node DAGs route like the plain call
+        they are.
         """
         dag = dag if isinstance(dag, Dag) else Dag(dag)
-        if len(dag) == 1:
-            node = dag.nodes[0]
-            return self.submit(
-                node.routine,
-                alpha=node.alpha,
-                beta=node.beta,
-                deadline_s=deadline_s,
-                **{op: arrays[sym] for op, sym in node.operands.items()},
-            )
-        return self._admit(
-            dag.routine_key,
-            dag.canonical_sizes(arrays),
-            lambda worker: worker.submit_dag(dag, deadline_s=deadline_s, **arrays),
-        )
-
-    def _shed(self, routine: str, shard: int, depth: int) -> PendingResult:
-        """Instant rejection: a pre-fulfilled future, never enqueued."""
-        request_id = -next(self._shed_ids)  # negative: never a worker id
-        pending = PendingResult(request_id)
-        pending.fulfill(
-            Response(
-                request_id=request_id,
-                routine=routine,
-                output=None,
-                source="shed",
-                error=(
-                    f"shed: shard {shard} queue depth {depth} >= "
-                    f"high-water {self.admission.high_water}"
-                ),
-            )
-        )
-        return pending
+        return self._route(Request.graph(dag, arrays, deadline_s=deadline_s))
 
     def run(self, routine: str, **kwargs) -> np.ndarray:
         """Submit one call (keywords as :meth:`submit`) and block for its
@@ -308,7 +253,7 @@ class ShardedBlasService:
         )
 
     def queue_depths(self) -> List[int]:
-        """Current queue depth per shard (the admission signal)."""
+        """Current queue depth per shard."""
         return [worker.queue_depth() for worker in self.workers]
 
     def stats(self) -> Dict:
@@ -322,7 +267,7 @@ class ShardedBlasService:
         return {
             "shards": self.shards,
             "counters": self.telemetry.metrics.snapshot(),
-            "shed": self.admission.shed,
+            "shed": sum(worker.admission.shed for worker in self.workers),
             "per_shard": per_shard,
         }
 

@@ -291,6 +291,6 @@ def replay(
         p99_ms=_percentile(latencies, 0.99) * 1e3,
         max_ms=(latencies[-1] * 1e3) if latencies else 0.0,
         makespan_s=makespan,
-        max_queue_depth=tier.admission.peak_depth,
+        max_queue_depth=max(worker.admission.peak_depth for worker in tier.workers),
         per_shard_completed=[worker.completed for worker in tier.workers],
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..ir.ast import Loop, Node, Stage, fresh_label
-from ..ir.visitors import walk_with_context
+from ..ir.visitors import walk
 from .base import TransformError, TransformFailure
 
 __all__ = [
@@ -138,11 +138,8 @@ class KernelStructure:
 
     def _block_level_loops(self) -> List[Loop]:
         """Loops of ``items`` that no mapped loop (within ``items``) encloses."""
-        return [
-            node
-            for node, enclosing in walk_with_context(self.items)
-            if isinstance(node, Loop) and all(lp.mapped_to is None for lp in enclosing)
-        ]
+        below = walk(self.items, descend=lambda n: not isinstance(n, Loop) or n.mapped_to is None)
+        return [node for node in below if isinstance(node, Loop)]
 
     def phases(self) -> List[Loop]:
         """All phases in block order, descending into sequential block loops."""

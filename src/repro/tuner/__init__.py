@@ -2,7 +2,7 @@
 persistent result caching."""
 
 from .cache import TuningCache, arch_fingerprint, space_fingerprint
-from .chain import ChainPlan, ChainSegment, build_chain_plan, node_sizes_from_canonical
+from .chain import ChainPlan, ChainSegment, build_chain_plan
 from .library import GeneratedLibrary, LibraryGenerator, TunedRoutine
 from .options import TuningOptions, resolve_options
 from .persist import FORMAT_VERSION, load_library, save_library
@@ -44,7 +44,6 @@ __all__ = [
     "save_library",
     "default_space",
     "prune_space",
-    "node_sizes_from_canonical",
     "rank",
     "rank_key",
     "resolve_jobs",

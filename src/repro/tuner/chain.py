@@ -55,22 +55,7 @@ __all__ = [
     "ChainPlan",
     "ChainSegment",
     "build_chain_plan",
-    "node_sizes_from_canonical",
 ]
-
-
-def node_sizes_from_canonical(dag, sizes: Mapping[str, int]) -> List[Dict[str, int]]:
-    """Invert :meth:`repro.dag.Dag.canonical_sizes`: the flat
-    ``{"n<i>.<dim>": extent}`` request sizes back into per-node dicts."""
-    out: List[Dict[str, int]] = [{} for _ in dag.nodes]
-    for key, value in sizes.items():
-        prefix, sym = key.split(".", 1)
-        index = int(prefix[1:])
-        if index >= len(out):
-            raise ValueError(f"canonical size {key!r} names node {index} "
-                             f"of a {len(out)}-node dag")
-        out[index][sym] = int(value)
-    return out
 
 
 @dataclass
@@ -162,15 +147,23 @@ class ChainPlan:
         return max((p.tuned_gflops for p in self.node_plans), default=0.0)
 
     # -- execution ------------------------------------------------------
-    def execute(self, dag, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+    def execute(
+        self,
+        dag,
+        arrays: Mapping[str, np.ndarray],
+        node_sizes: Optional[List[Dict[str, int]]] = None,
+    ) -> np.ndarray:
         """Run a request with this plan's structure (same fingerprint).
 
         Input *names* may differ from the plan's build-time dag — the
         fingerprint hashes wiring, not names — so symbols are remapped
-        node-by-node through the shared operand structure.
+        node-by-node through the shared operand structure.  A caller
+        that already sized the request (the serving runtime) passes its
+        ``node_sizes``; otherwise they are derived from ``arrays``.
         """
-        shapes = {name: np.asarray(arr).shape for name, arr in arrays.items()}
-        node_sizes = dag.node_sizes(shapes)
+        if node_sizes is None:
+            shapes = {name: np.asarray(arr).shape for name, arr in arrays.items()}
+            node_sizes = dag.node_sizes(shapes)
         values: Dict[str, np.ndarray] = {
             name: np.asarray(arrays[name]) for name in dag.inputs
         }

@@ -18,13 +18,13 @@ def _req(rid, routine="GEMM-NN", shape=(32, 32), alpha=1.0):
 
 class TestGroupKey:
     def test_same_shape_same_key(self):
-        assert _req(1).group_key() == _req(2).group_key()
+        assert _req(1).group_key == _req(2).group_key
 
     def test_shape_routine_and_scaling_split_groups(self):
         base = _req(1)
-        assert base.group_key() != _req(2, shape=(64, 64)).group_key()
-        assert base.group_key() != _req(3, routine="SYMM-LL").group_key()
-        assert base.group_key() != _req(4, alpha=2.0).group_key()
+        assert base.group_key != _req(2, shape=(64, 64)).group_key
+        assert base.group_key != _req(3, routine="SYMM-LL").group_key
+        assert base.group_key != _req(4, alpha=2.0).group_key
 
 
 class TestMicroBatcher:

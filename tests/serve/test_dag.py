@@ -141,7 +141,8 @@ class TestOneNodeDag:
         assert counters["serve.requests"] == 2
         assert counters.get("serve.dag.requests", 0) == 0
 
-    def test_legacy_submit_carries_single_node_dag(self):
+    def test_legacy_submit_carries_no_dag(self):
+        """A single call is sized from its arrays and carries no DAG."""
         service = make_service()
         pending = service.submit(
             "GEMM-NN",
@@ -151,9 +152,9 @@ class TestOneNodeDag:
         )
         with service._lock:
             request = service._batcher.next_batch()[0]
-        assert request.dag is not None
-        assert len(request.dag) == 1
+        assert request.dag is None
         assert not request.chained
+        assert request.sizes == {"M": N, "N": N, "K": N}
         service._execute_batch([request])
         assert pending.result().source == "tuned"
 

@@ -6,6 +6,8 @@ services configured with ``min_bucket < 16`` give N ≤ 8 calls their own
 plan instead of sharing the 16-class one.
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.blas3 import random_inputs, reference
@@ -27,7 +29,9 @@ def _gemm(rid, m, n, k, routine="GEMM-NN", deadline=None):
         "B": np.zeros((k, n), np.float32),
         "C": np.zeros((m, n), np.float32),
     }
-    return Request(id=rid, routine=routine, arrays=arrays, deadline_s=deadline)
+    return dataclasses.replace(
+        Request.call(routine, arrays, deadline_s=deadline), id=rid
+    )
 
 
 def make_service(**serve_kwargs):
@@ -41,31 +45,30 @@ def make_service(**serve_kwargs):
 
 class TestPackKey:
     def test_same_class_different_shapes_match(self):
-        assert _gemm(1, 8, 12, 10).pack_key() == _gemm(2, 12, 8, 8).pack_key()
+        assert _gemm(1, 8, 12, 10).pack_key == _gemm(2, 12, 8, 8).pack_key
 
     def test_class_is_pow2_ceiling_of_largest_dim(self):
-        assert _gemm(1, 5, 6, 7).pack_key()[1] == 8
-        assert _gemm(2, 9, 4, 4).pack_key()[1] == 16
+        assert _gemm(1, 5, 6, 7).pack_key[1] == 8
+        assert _gemm(2, 9, 4, 4).pack_key[1] == 16
 
     def test_large_calls_do_not_pack(self):
-        assert _gemm(1, 65, 8, 8).pack_key() is None
+        assert _gemm(1, 65, 8, 8).pack_key is None
 
     def test_non_gemm_does_not_pack(self):
-        request = Request(
-            id=1,
-            routine="SYMM-LL",
-            arrays={
+        request = Request.call(
+            "SYMM-LL",
+            {
                 "A": np.zeros((8, 8), np.float32),
                 "B": np.zeros((8, 8), np.float32),
                 "C": np.zeros((8, 8), np.float32),
             },
         )
-        assert request.pack_key() is None
+        assert request.pack_key is None
 
     def test_deadline_presence_splits_classes(self):
         free = _gemm(1, 8, 8, 8)
         bound = _gemm(2, 8, 8, 8, deadline=1.0)
-        assert free.pack_key() != bound.pack_key()
+        assert free.pack_key != bound.pack_key
 
 
 class TestPackTier:

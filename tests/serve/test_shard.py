@@ -90,15 +90,17 @@ class TestShardRouter:
 class TestAdmissionController:
     def test_none_high_water_admits_everything(self):
         controller = AdmissionController(None, telemetry=Telemetry())
-        assert all(controller.admit(0, depth) for depth in (0, 10, 10_000))
+        assert all(controller.admit(depth) for depth in (0, 10, 10_000))
         assert controller.shed == 0
+        assert controller.peak_depth == 10_000
 
     def test_sheds_at_and_above_high_water(self):
         telemetry = Telemetry()
         controller = AdmissionController(4, telemetry=telemetry)
-        assert controller.admit(1, 3)
-        assert not controller.admit(1, 4)
-        assert not controller.admit(1, 5)
+        controller.counters += ("serve.shard.1.shed",)
+        assert controller.admit(3)
+        assert not controller.admit(4)
+        assert not controller.admit(5)
         assert controller.shed == 2
         assert telemetry.count("serve.shed") == 2
         assert telemetry.count("serve.shard.1.shed") == 2
@@ -161,7 +163,8 @@ class TestShardedService:
                 pending.result()
             assert pending.request_id < 0
         assert tier.telemetry.count("serve.shed") == 5
-        assert tier.admission.shed == 5
+        assert tier.telemetry.count("serve.shard.0.shed") == 5
+        assert tier.stats()["shed"] == 5
         tier.flush()
         assert all(p.result().ok for p in pendings if p not in shed)
         assert tier.queue_depths() == [0]

@@ -15,7 +15,7 @@ from repro.dag import Dag, chain
 from repro.gpu import GTX_285, SimulatedGPU, estimate_time
 from repro.telemetry import Telemetry
 from repro.tuner import LibraryGenerator, TuningOptions
-from repro.tuner.chain import build_chain_plan, node_sizes_from_canonical
+from repro.tuner.chain import build_chain_plan
 
 SPACE = (
     {"BM": 16, "BN": 16, "KT": 8, "TX": 16, "TY": 2},
@@ -50,21 +50,6 @@ def make_inputs(seed=0):
         np.tril(rng.standard_normal((N, N))) + N * np.eye(N)
     ).astype(np.float32)
     return {"A": a, "B": b, "L": low}
-
-
-class TestNodeSizes:
-    def test_canonical_round_trip(self):
-        dag = gemm_trsm_dag()
-        arrays = make_inputs()
-        flat = dag.canonical_sizes(arrays)
-        assert node_sizes_from_canonical(dag, flat) == dag.node_sizes(
-            {k: v.shape for k, v in arrays.items()}
-        )
-
-    def test_out_of_range_node_rejected(self):
-        dag = gemm_trsm_dag()
-        with pytest.raises(ValueError, match="node"):
-            node_sizes_from_canonical(dag, {"n7.M": 32})
 
 
 class TestFusedChain:
