@@ -7,9 +7,11 @@ asserts the compiled path is an order of magnitude faster, and writes
 ``BENCH_jit.json`` at the repo root.  Then runs all 28 BLAS3 reference
 nests (the source routines every verify sweep runs as its oracle) at
 the verify sweep's sizes and adds their interpreter and JIT times and
-sliced loop counts under ``reference_nests``.  Cross-checks outputs
-bit-for-bit on every measured run, so the numbers can never drift from
-correctness.
+sliced loop counts under ``reference_nests``, and the kernels the
+``serve_kernel`` perfbench workload serves (the serve space's GEMM-NN
+and TRSM-LL-N winners of the N=64 bucket, at N=48 and 64) under
+``served``.  Cross-checks outputs bit-for-bit on every measured run, so
+the numbers can never drift from correctness.
 """
 
 import json
@@ -23,8 +25,11 @@ from repro.blas3 import BASE_GEMM_SCRIPT, build_routine, random_inputs
 from repro.blas3.naming import ALL_VARIANTS, BATCHED_VARIANTS
 from repro.composer.oracle import make_inputs, oracle_sizes
 from repro.epod import parse_script, translate
+from repro.gpu import GTX_285
 from repro.ir.interpret import interpret
+from repro.tuner import TuningOptions
 from repro.tuner.library import LibraryGenerator
+from tests.ir.test_dependence_vectorized import SERVE_SPACE
 
 from .conftest import emit
 
@@ -60,6 +65,11 @@ VARIANT_SCRIPTS = {
 
 SIZES_N = [32, 64]
 JIT_REPS = 5
+
+#: the ``serve_kernel`` workload's routines and sizes, served by the
+#: plans of their N=64 size bucket
+SERVED_ROUTINES = ("GEMM-NN", "TRSM-LL-N")
+SERVED_SIZES = (48, 64)
 
 
 def _build(name):
@@ -175,11 +185,47 @@ def test_bench_reference_nests():
         assert kernel.vectorized_loops >= 1, f"{name}: no loop sliced"
         assert interp_s / jit_s >= 5.0, f"{name}: only {interp_s / jit_s:.1f}x"
 
-    record = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
-    record["reference_nests"] = nests
-    BENCH_PATH.write_text(json.dumps(record, indent=1))
+    _record("reference_nests", nests)
     emit(
         "reference nests at the verify sweep's sizes, compiled vs interpreted\n"
         + "\n".join(lines)
         + f"\nwritten to {BENCH_PATH}"
     )
+
+
+def _record(key, value):
+    record = json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else {}
+    record[key] = value
+    BENCH_PATH.write_text(json.dumps(record, indent=1))
+
+
+def test_bench_served_kernels():
+    """The kernels ``serve_kernel`` spends its time in: each serve-space
+    winner's best-of-5 execution time, bit-identical to the interpreter."""
+    jit.clear_cache()
+    generator = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1, space=SERVE_SPACE, tune_size=64))
+    served, lines = {}, []
+    for name in SERVED_ROUTINES:
+        tuned = generator.generate(name)
+        kernel = jit.compile_computation(tuned.comp)
+        for n in SERVED_SIZES:
+            sizes = {symbol: n for symbol in tuned.comp.dim_symbols}
+            inputs = make_inputs(tuned.comp, sizes, seed=n)
+            scalars = {"alpha": 1.5, "beta": 0.5}
+            ref = interpret(tuned.comp, sizes, inputs, scalars)
+            got = jit.execute(tuned.comp, sizes, inputs, scalars, kernel=kernel)
+            for arr in ref:
+                assert np.array_equal(ref[arr], got[arr]), f"{name} N={n}: {arr}"
+            best = float("inf")
+            for _ in range(JIT_REPS):
+                t0 = time.perf_counter()
+                jit.execute(tuned.comp, sizes, inputs, scalars, kernel=kernel)
+                best = min(best, time.perf_counter() - t0)
+            served[f"{name}@{n}"] = {
+                "config": tuned.config,
+                "kernel_us": round(best * 1e6, 1),
+                "vectorized_loops": kernel.vectorized_loops,
+            }
+            lines.append(f"{name:10s} N={n:3d}  kernel {best * 1e6:10.1f} us  sliced {kernel.vectorized_loops}")
+    _record("served", served)
+    emit("serve_kernel's kernels (serve space, N=64 bucket)\n" + "\n".join(lines) + f"\nwritten to {BENCH_PATH}")

@@ -161,8 +161,7 @@ def _fma_insts(stmt: Assign) -> float:
     insts = float(flops)
     if stmt.op in ("+=", "-=") and isinstance(stmt.expr, BinOp) and stmt.expr.op == "*":
         insts = max(1.0, flops - 1)  # multiply-accumulate fusion
-    expr_repr = repr(stmt.expr)
-    if "/" in expr_repr or "1/" in expr_repr:
+    if stmt.expr.uses_division():
         insts += 8  # fp32 division microcode
     return insts
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from ..ir.ast import Computation, Recip, BinOp
+from ..ir.ast import Computation
 from ..ir.visitors import iter_statements
 from ..jit import execute as jit_execute
 
@@ -54,18 +54,11 @@ def oracle_sizes(
 
 
 def _uses_division(comp: Computation) -> bool:
-    for stage in comp.stages:
-        for stmt in iter_statements(stage.body):
-            stack = [stmt.expr]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Recip):
-                    return True
-                if isinstance(node, BinOp):
-                    if node.op == "/":
-                        return True
-                    stack.extend([node.left, node.right])
-    return False
+    return any(
+        stmt.expr.uses_division()
+        for stage in comp.stages
+        for stmt in iter_statements(stage.body)
+    )
 
 
 def make_inputs(

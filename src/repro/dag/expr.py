@@ -389,16 +389,22 @@ class Dag:
         return spec.extent(spec.output, self.node_sizes(shapes)[-1])
 
     # -- ground truth ---------------------------------------------------
-    def reference(self, arrays: Mapping[str, np.ndarray]) -> np.ndarray:
+    def reference(
+        self,
+        arrays: Mapping[str, np.ndarray],
+        node_sizes: Optional[Sequence[Mapping[str, int]]] = None,
+    ) -> np.ndarray:
         """NumPy chained reference: every node through
         :func:`repro.blas3.reference` in topological order (float64).
 
         This is the semantic contract every execution path — unfused
         tuned plans, fused kernels, the serve fallback — is tested
-        against.
+        against.  ``node_sizes`` (from :meth:`node_sizes`, e.g. a served
+        request's) says the shapes were already checked.
         """
-        # operands whose shapes disagree raise ValueError before any work
-        self.node_sizes({name: np.asarray(arr).shape for name, arr in arrays.items()})
+        if node_sizes is None:
+            # operands whose shapes disagree raise ValueError before any work
+            self.node_sizes({name: np.asarray(arr).shape for name, arr in arrays.items()})
         values: Dict[str, np.ndarray] = {
             name: np.asarray(arrays[name]) for name in self.inputs
         }

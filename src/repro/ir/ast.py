@@ -126,6 +126,17 @@ class Expr(_Immutable):
             stack.extend(node.children())
         return out
 
+    def uses_division(self) -> bool:
+        """Whether evaluating the expression divides (a ``/`` or a
+        :class:`Recip` anywhere in it)."""
+        stack: List[Expr] = [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Recip) or (isinstance(node, BinOp) and node.op == "/"):
+                return True
+            stack.extend(node.children())
+        return False
+
     def flop_count(self) -> int:
         """Number of floating-point operations in one evaluation."""
         count = 1 if isinstance(self, (BinOp, Neg, Recip)) else 0

@@ -57,9 +57,24 @@ _MIN_EXTENT = 6
 #: every loop asked about carries, no reordering is kept.
 _MAX_LEVEL_INSTANCES = 1 << 22
 
+#: the most index cells (rows x columns) one trace chunk may hold in the
+#: loop columns it enumerates, and in any one array it builds from them
+#: (the order keys of :func:`_times`, the access matrix of
+#: :func:`_accesses`).  Many statements or references under one level
+#: multiply its instances: a chunk within the level budget once needed
+#: a 13 x 7,334,343 int64 key array.  The BLAS3 questions of the golden
+#: spaces hold at most 73,728.  A chunk past it gets the same
+#: conservative answer.
+_MAX_CHUNK_CELLS = 1 << 24
+
 
 class _TooLarge(Exception):
-    """A trace past :data:`_MAX_LEVEL_INSTANCES`."""
+    """A trace past :data:`_MAX_LEVEL_INSTANCES` or :data:`_MAX_CHUNK_CELLS`."""
+
+
+def _within_budget(cells: int) -> None:
+    if cells > _MAX_CHUNK_CELLS:
+        raise _TooLarge
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +149,14 @@ def _enumerate(
     keys: List,
     loops: List[Tuple[str, np.ndarray]],
     out: List[_Block],
+    spent: List[int],
 ) -> None:
     """Append a :class:`_Block` per statement reached under ``n`` rows.
 
     Each child extends the order key with its position, and a loop also
     with its value, so a lexsort of the keys is execution order.  Guards
     trace the body, then the else branch, with no predicate evaluated.
+    ``spent`` tallies the cells of the columns made so far.
     """
     scope = {**symbols, **dict(loops)}  # an inner loop shadows an outer one
     for pos, node in enumerate(body):
@@ -149,8 +166,13 @@ def _enumerate(
             lo = _evaluate(node.lower, scope, n)
             span = np.maximum(_evaluate(node.upper, scope, n) - lo, 0)
             trips = (span + node.step - 1) // node.step
-            if trips.sum() > _MAX_LEVEL_INSTANCES:
+            instances = int(trips.sum())
+            if instances > _MAX_LEVEL_INSTANCES:
                 raise _TooLarge
+            # the rows, the value, and every array key and loop column again
+            columns = 2 + len(loops) + sum(not isinstance(k, int) for k in keys)
+            spent[0] += instances * columns
+            _within_budget(spent[0])
             rows = np.repeat(np.arange(n), trips)
             if not len(rows):
                 continue
@@ -163,10 +185,11 @@ def _enumerate(
                 [k if isinstance(k, int) else k[rows] for k in keys] + [pos, value],
                 [(name, col[rows]) for name, col in loops] + [(node.var, value)],
                 out,
+                spent,
             )
         elif isinstance(node, Guard):
             for branch, nodes in enumerate((node.body, node.else_body)):
-                _enumerate(nodes, symbols, n, keys + [pos, branch], loops, out)
+                _enumerate(nodes, symbols, n, keys + [pos, branch], loops, out, spent)
         elif not isinstance(node, Barrier):  # pragma: no cover - defensive
             raise TypeError(f"cannot trace node {node!r}")
 
@@ -180,7 +203,7 @@ def _chunks(body: Sequence[Node], extent: int, cut: int) -> Iterator[List[_Block
     def descend(nodes, keys, loops) -> Iterator[List[_Block]]:
         if len(loops) == cut:
             blocks: List[_Block] = []
-            _enumerate(nodes, symbols, 1, keys, loops, blocks)
+            _enumerate(nodes, symbols, 1, keys, loops, blocks, [0])
             yield blocks
             return
         (loop,) = nodes
@@ -195,7 +218,9 @@ def _chunks(body: Sequence[Node], extent: int, cut: int) -> Iterator[List[_Block
 def _times(blocks: Sequence[_Block]) -> List[np.ndarray]:
     """Each block's instances' positions in execution order."""
     sizes = [blk.n for blk in blocks]
-    keys = np.zeros((max(len(blk.keys) for blk in blocks), sum(sizes)), dtype=np.int64)
+    levels = max(len(blk.keys) for blk in blocks)
+    _within_budget(levels * sum(sizes))
+    keys = np.zeros((levels, sum(sizes)), dtype=np.int64)
     at = 0
     for blk in blocks:
         for level, key in enumerate(blk.keys):
@@ -224,7 +249,9 @@ def _accesses(
     width = 1 + max(len(ref.indices) for _, ref, _ in refs)
     tails = [tail(b) for b in range(len(blocks))]
     sizes = [blocks[b].n for b, _, _ in refs]
-    accesses = np.zeros((width + max(map(len, tails)), sum(sizes)), dtype=np.int32)
+    height = width + max(map(len, tails))
+    _within_budget(height * sum(sizes))
+    accesses = np.zeros((height, sum(sizes)), dtype=np.int32)
     arrays: Dict[Tuple[str, int], int] = {}
     at = 0
     for (b, ref, _), n in zip(refs, sizes):

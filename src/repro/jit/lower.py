@@ -12,19 +12,24 @@ ordinary Python source:
   as integer arithmetic over local variables;
 * array subscripts become direct NumPy indexing expressions;
 * guards become ``if``/``else`` with the predicate inlined;
-* one loop per nest is **vectorized into NumPy slice operations**: its
-  whole body is lowered once over slices along the loop variable, with
-  nested loops and guards left native.  Legal when the body slices
-  along the variable and :func:`repro.ir.dependence.carrying_loops`
-  proves the loop carries no dependence for any value of the loops
-  around it (the same PolyDeps-style oracle the composer's filter
-  trusts); elementwise slice arithmetic in NumPy is bit-identical to
-  the scalar loop because the per-element float operations are the
-  same IEEE operations in the same order.  In a sequential nest (no
-  loop in, around or below it mapped to the grid, e.g. a BLAS3
-  reference routine) the deepest legal loop is chosen, so reductions
-  stay serial.  A loop in a thread-mapped region slices only a flat
-  body of statements or one loop of them (DESIGN.md §9 says why).
+* loops are **vectorized into NumPy slice operations**: a loop's whole
+  body is lowered once over slices along its variable, with nested
+  loops and guards left native.  Legal when the body slices along the
+  variable and :func:`repro.ir.dependence.carrying_loops` proves the
+  loop carries no dependence for any value of the loops around it (the
+  same PolyDeps-style oracle the composer's filter trusts); elementwise
+  slice arithmetic in NumPy is bit-identical to the scalar loop because
+  the per-element float operations are the same IEEE operations in the
+  same order.  In a sequential nest (no loop in, around or below it
+  mapped to the grid, e.g. a BLAS3 reference routine) the deepest legal
+  loop is chosen, so reductions stay serial.  Under thread-mapped loops
+  a perfect nest of unmapped loops (a register tile's ``a``/``b``)
+  becomes one multi-axis slice expression, its serial reduction loop
+  left innermost; otherwise a loop there slices only a flat body of
+  statements or one loop of them (DESIGN.md §9 says why);
+* inside each native loop, slices and the views that ``+=``/``-=``
+  update are **hoisted** above the loop when they do not depend on its
+  variable, so a reduction loop runs ``view += rhs`` only.
 
 The lowered source is ``exec``'d into a callable of signature
 ``fn(buffers, sizes, scalars, flags)`` that mutates ``buffers`` in place,
@@ -43,8 +48,9 @@ requested order.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..ir.affine import AffineExpr, MaxExpr, MinExpr
 from ..ir.ast import (
@@ -69,7 +75,7 @@ from ..ir.ast import (
 )
 from ..ir.dependence import carrying_loops
 from ..ir.fingerprint import UnsupportedIR, computation_fingerprint
-from ..ir.visitors import iter_loops, walk
+from ..ir.visitors import iter_loops, iter_statements, walk
 
 __all__ = [
     "UnsupportedIR",
@@ -99,6 +105,61 @@ def _sanitize(name: str) -> str:
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
 
 
+#: identifiers in emitted code (locals, builtins, keywords alike)
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+class _Frame:
+    """A native ``for`` being emitted: the local its loop binds, where
+    its ``for`` line sits, and what is hoisted above it."""
+
+    __slots__ = ("var", "at", "depth", "lo", "hi", "pre", "views", "guards")
+
+    def __init__(self, var: str, at: int, depth: int, lo: str, hi: str):
+        self.var = var
+        self.at = at  # index of the ``for`` line in the emitted lines
+        self.depth = depth
+        self.lo = lo
+        self.hi = hi
+        self.pre: List[str] = []  # loop-invariant definitions
+        self.views: Dict[str, str] = {}  # target code -> local view of it
+        self.guards = 0  # guards open in the loop's body
+
+
+class _Axis(NamedTuple):
+    """One slice axis: a loop variable, its first value and trip count
+    (locals) and its step."""
+
+    var: str
+    lo: str
+    n: str
+    step: int
+
+
+class _VecCtx:
+    """The slice axes of one vectorized nest, outermost first.
+
+    An index that moves with an axis's variable becomes a slice; a
+    reference's dimensions then follow the axes in order, and a
+    reference without some axis gets a ``None`` (length-1) dimension in
+    its place, so it broadcasts against the others.
+    """
+
+    __slots__ = ("axes",)
+
+    def __init__(self, axes: Sequence[_Axis]):
+        self.axes = list(axes)
+
+    def axis_of(self, index: AffineExpr) -> Optional[int]:
+        for at, axis in enumerate(self.axes):
+            if index.depends_on(axis.var):
+                return at
+        return None
+
+    def slices(self, ref: ArrayRef) -> bool:
+        return any(self.axis_of(index) is not None for index in ref.indices)
+
+
 class _Lowerer:
     def __init__(self, thread_order: str):
         if thread_order not in ("asc", "desc"):
@@ -112,6 +173,8 @@ class _Lowerer:
         self._free: Set[str] = set()  # env vars read before any loop binds them
         self.vectorized_loops = 0
         self._sequential: Dict[int, bool] = {}  # id(loop) -> slice axis?
+        self._frames: List[_Frame] = []  # open native loops, outermost first
+        self._level: Dict[str, int] = {}  # temp -> open loops around its definition
 
     # -- small emission helpers ---------------------------------------
     def tmp(self, prefix: str = "t") -> str:
@@ -119,6 +182,57 @@ class _Lowerer:
 
     def line(self, depth: int, text: str) -> None:
         self.lines.append("    " * depth + text)
+
+    def define(self, depth: int, name: str, code: str, hoist: bool = False) -> None:
+        """Emit ``name = code`` here or, with ``hoist``, right inside the
+        innermost open native loop whose variable ``code`` reads,
+        directly or through a temp defined inside that loop."""
+        level = self._where(code) if hoist else len(self._frames)
+        if level < len(self._frames):
+            self._frames[level].pre.append(f"{name} = {code}")
+        else:
+            self.line(depth, f"{name} = {code}")
+        self._level[name] = level
+
+    def _where(self, code: str) -> int:
+        """How many open native loops ``code`` must sit inside: one past
+        the innermost whose variable, or a temp defined inside which, it
+        reads."""
+        level = 0
+        for name in _NAME.findall(code):
+            if name in self._level:
+                level = max(level, self._level[name])
+                continue
+            for at in range(len(self._frames) - 1, level - 1, -1):
+                if self._frames[at].var == name:
+                    level = at + 1
+                    break
+        return level
+
+    def view(self, target: str) -> str:
+        """A local standing for the sliced ``target`` of an update: a view
+        made above the innermost native loop, when ``target`` does not
+        depend on that loop and no guard inside it holds the update;
+        otherwise ``target`` itself.  The view is made only when the loop
+        runs at least once, so an index valid only inside it never
+        raises."""
+        if not self._frames:
+            return target
+        frame = self._frames[-1]
+        if frame.guards or self._where(target) == len(self._frames):
+            return target
+        if target not in frame.views:
+            frame.views[target] = self.tmp("v")
+        return frame.views[target]
+
+    def _hoist(self, frame: _Frame) -> None:
+        """Put ``frame``'s hoisted lines in front of its ``for`` line."""
+        indent = "    " * frame.depth
+        lines = [indent + code for code in frame.pre]
+        if frame.views:
+            lines.append(f"{indent}if {frame.lo} < {frame.hi}:")
+            lines += [f"{indent}    {name} = {code}" for code, name in frame.views.items()]
+        self.lines[frame.at : frame.at] = lines
 
     def env_name(self, name: str, bound: Set[str]) -> str:
         if name not in self._env:
@@ -175,22 +289,43 @@ class _Lowerer:
         self,
         ref: ArrayRef,
         bound: Set[str],
-        vec: Optional["_VecCtx"] = None,
+        vec: Optional[_VecCtx] = None,
         depth: int = 0,
     ) -> str:
         codes: List[str] = []
+        last = None  # the axis of the last slice placed
         for index in ref.indices:
-            if vec is not None and index.depends_on(vec.var):
-                codes.append(vec.slice_code(self, index, bound, depth))
-            else:
+            axis = None if vec is None else vec.axis_of(index)
+            if axis is None:
                 codes.append(self.aff_code(index, bound))
+                continue
+            if last is not None:
+                codes += ["None"] * (axis - last - 1)
+            codes.append(self.slice_code(vec.axes[axis], index, bound, depth))
+            last = axis
+        if last is not None:
+            codes += ["None"] * (len(vec.axes) - last - 1)
         return f"{self.array_name(ref.array)}[{', '.join(codes)}]"
+
+    def slice_code(self, axis: _Axis, index: AffineExpr, bound: Set[str], depth: int) -> str:
+        coeff = index.coeff(axis.var)
+        rest = index.substitute({axis.var: 0})
+        start = self.tmp("st")
+        self.define(
+            depth, start, f"{self.aff_code(rest, bound - {axis.var})} + {coeff}*{axis.lo}", hoist=True
+        )
+        stride = coeff * axis.step
+        # Exactly n elements: start, start+stride, ...; an empty loop
+        # (n == 0) degenerates to the always-empty slice [start:start].
+        piece = self.tmp("sl")
+        self.define(depth, piece, f"slice({start}, {start} + {stride}*{axis.n}, {stride})", hoist=True)
+        return piece
 
     def expr_code(
         self,
         expr: Expr,
         bound: Set[str],
-        vec: Optional["_VecCtx"] = None,
+        vec: Optional[_VecCtx] = None,
         depth: int = 0,
     ) -> str:
         if isinstance(expr, Const):
@@ -219,12 +354,16 @@ class _Lowerer:
         node: Assign,
         bound: Set[str],
         depth: int,
-        vec: Optional["_VecCtx"] = None,
+        vec: Optional[_VecCtx] = None,
     ) -> None:
         if node.op not in Assign.OPS:
             raise ValueError(f"unknown assignment operator {node.op!r}")
         value = self.expr_code(node.expr, bound, vec, depth)
         target = self.ref_code(node.target, bound, vec, depth)
+        if node.op != "=" and vec is not None and vec.slices(node.target):
+            # a view aliases the buffer, so ``view += rhs`` is the
+            # getitem, in-place add and setitem of ``target += rhs``
+            target = self.view(target)
         self.line(depth, f"{target} {node.op} {value}")
 
     def emit_body(
@@ -233,7 +372,7 @@ class _Lowerer:
         bound: Set[str],
         depth: int,
         outer: Tuple[Loop, ...] = (),
-        vec: Optional["_VecCtx"] = None,
+        vec: Optional[_VecCtx] = None,
     ) -> None:
         emitted = False
         for node in body:
@@ -257,13 +396,18 @@ class _Lowerer:
         bound: Set[str],
         depth: int,
         outer: Tuple[Loop, ...],
-        vec: Optional["_VecCtx"],
+        vec: Optional[_VecCtx],
     ) -> None:
         self.line(depth, f"if {self.pred_code(node.cond, bound)}:")
+        frame = self._frames[-1] if self._frames else None
+        if frame is not None:
+            frame.guards += 1
         self.emit_body(node.body, bound, depth + 1, outer, vec)
         if node.else_body:
             self.line(depth, "else:")
             self.emit_body(node.else_body, bound, depth + 1, outer, vec)
+        if frame is not None:
+            frame.guards -= 1
 
     def emit_loop(
         self,
@@ -271,61 +415,92 @@ class _Lowerer:
         bound: Set[str],
         depth: int,
         outer: Tuple[Loop, ...],
-        vec: Optional["_VecCtx"],
+        vec: Optional[_VecCtx],
     ) -> None:
-        """Emit ``node`` as a native loop, or, when it is the slice axis
-        (:meth:`_slice_axis`), as its body once over NumPy slices.
-        Inside a slice axis (``vec`` set) every loop is native."""
+        """Emit ``node`` as a native loop, or, when it heads a nest of
+        slice axes (:meth:`_slice_axes`), as that nest's body once over
+        NumPy slices.  Inside slice axes (``vec`` set) every loop is
+        native."""
         lo = self.tmp("lo")
         hi = self.tmp("hi")
-        self.line(depth, f"{lo} = {self.bound_code(node.lower, bound)}")
-        self.line(depth, f"{hi} = {self.bound_code(node.upper, bound)}")
+        self.define(depth, lo, self.bound_code(node.lower, bound))
+        self.define(depth, hi, self.bound_code(node.upper, bound))
+        axes = self._slice_axes(node, outer) if vec is None else []
+        if axes:
+            self.emit_sliced(axes, lo, hi, bound, depth)
+            return
         was_bound = node.var in bound
-        if vec is None and self._slice_axis(node, outer):
-            self.vectorized_loops += 1
-            n = self.tmp("n")
-            self.line(depth, f"{n} = max(0, -(-({hi} - {lo}) // {node.step}))")
-            bound.add(node.var)
-            self.emit_body(node.body, bound, depth, vec=_VecCtx(node.var, lo, n, node.step))
-        else:
-            var = self.env_name(node.var, bound | {node.var})
-            rng = f"range({lo}, {hi}, {node.step})"
-            if self.thread_order == "desc" and node.mapped_to in THREAD_DIMS:
-                rng = f"reversed({rng})"
-            self.line(depth, f"for {var} in {rng}:")
-            bound.add(node.var)
-            self.emit_body(node.body, bound, depth + 1, outer + (node,), vec)
+        var = self.env_name(node.var, bound | {node.var})
+        rng = f"range({lo}, {hi}, {node.step})"
+        if self.thread_order == "desc" and node.mapped_to in THREAD_DIMS:
+            rng = f"reversed({rng})"
+        frame = _Frame(var, len(self.lines), depth, lo, hi)
+        self.line(depth, f"for {var} in {rng}:")
+        self._frames.append(frame)
+        bound.add(node.var)
+        self.emit_body(node.body, bound, depth + 1, outer + (node,), vec)
+        self._frames.pop()
+        self._hoist(frame)
         if not was_bound:
             bound.discard(node.var)
 
-    # -- vectorization ---------------------------------------------------
-    def _slice_axis(self, node: Loop, outer: Tuple[Loop, ...]) -> bool:
-        """Whether ``node`` becomes a slice axis over its whole body.
+    def emit_sliced(self, axes: List[Loop], lo: str, hi: str, bound: Set[str], depth: int) -> None:
+        """Emit the innermost body of the perfect nest ``axes`` (outermost
+        first; ``lo``/``hi`` hold the first one's bounds) once, over one
+        slice dimension per axis."""
+        added = [loop.var for loop in axes if loop.var not in bound]
+        ctx = []
+        for at, loop in enumerate(axes):
+            if at:
+                lo, hi = self.tmp("lo"), self.tmp("hi")
+                self.define(depth, lo, self.bound_code(loop.lower, bound))
+                self.define(depth, hi, self.bound_code(loop.upper, bound))
+            n = self.tmp("n")
+            self.define(depth, n, f"max(0, -(-({hi} - {lo}) // {loop.step}))")
+            bound.add(loop.var)
+            ctx.append(_Axis(loop.var, lo, n, loop.step))
+        self.vectorized_loops += len(axes)
+        self.emit_body(axes[-1].body, bound, depth, vec=_VecCtx(ctx))
+        bound.difference_update(added)
 
-        Its body must slice along ``node.var`` (:func:`_sliceable_body`)
-        and the loop must carry no dependence inside the ``outer`` loops
-        (:func:`carrying_loops`).  Lowering the body once over the slice
-        runs ``node`` innermost; with no dependence between its
-        iterations, each element sees the same float operations in the
-        same order as the scalar loop, so results stay bit-identical.
+    # -- vectorization ---------------------------------------------------
+    def _slice_axes(self, node: Loop, outer: Tuple[Loop, ...]) -> List[Loop]:
+        """The loops, ``node`` first, that become slice axes over the
+        innermost one's body; empty when ``node`` stays native.
+
+        Every axis's body must slice along its variable
+        (:func:`_sliceable_body`), each reference must meet the axes in
+        their order (:func:`_axes_ordered`), and no axis may carry a
+        dependence inside the ``outer`` loops (:func:`carrying_loops`).
+        Lowering the body once over the slices runs the axes innermost;
+        with no dependence between their iterations, each element sees
+        the same float operations in the same order as the scalar
+        loops, so results stay bit-identical.
 
         In a **sequential** nest (no loop in it, around it or below it is
-        mapped to the grid) the deepest such loop is chosen: one trace
-        decides every loop of the nest when its outermost loop is reached.
-        A loop in a thread-mapped region slices only a flat body of
-        statements or a single loop of statements (lowered by
-        interchange); the ROADMAP's SIMT item owns those regions.
+        mapped to the grid) the deepest such loop is the one axis: one
+        trace decides every loop of the nest when its outermost loop is
+        reached.  Under thread-mapped loops, a perfect nest of unmapped
+        loops (a register tile) becomes axes all the way down, or down
+        to a serial innermost loop (the reduction over ``k``); otherwise
+        a loop there slices only a flat body of statements or a single
+        loop of statements (lowered by interchange).  A thread-mapped
+        loop is never one of several axes; the ROADMAP's SIMT item owns
+        thread loops as axes.
         """
         if node.mapped_to is None and not any(loop.mapped_to for loop in outer):
             if id(node) not in self._sequential:
                 self._sequential.update(_plan_sequential(node, outer))
             if id(node) in self._sequential:
-                return self._sequential[id(node)]
-        return (
-            _thread_region_shape(node)
-            and _sliceable_body(node)
-            and not _carrying(node, outer, [node])
-        )
+                return [node] if self._sequential[id(node)] else []
+        for axes in _axis_candidates(_perfect_nest(node)):
+            if (
+                all(_sliceable_body(loop) for loop in axes)
+                and _axes_ordered(axes)
+                and not _carrying(node, outer, axes)
+            ):
+                return axes
+        return []
 
 
 def _plan_sequential(root: Loop, outer: Tuple[Loop, ...]) -> Dict[int, bool]:
@@ -346,14 +521,68 @@ def _plan_sequential(root: Loop, outer: Tuple[Loop, ...]) -> Dict[int, bool]:
     }
 
 
-def _thread_region_shape(node: Loop) -> bool:
-    """Whether ``node``'s body is statements only, or a single loop whose
-    body is statements only (barriers aside): the shapes a loop in a
-    thread-mapped region may slice."""
-    kids = [child for child in node.body if not isinstance(child, Barrier)]
-    if len(kids) == 1 and isinstance(kids[0], Loop):
-        kids = [child for child in kids[0].body if not isinstance(child, Barrier)]
-    return bool(kids) and all(isinstance(child, Assign) for child in kids)
+def _perfect_nest(node: Loop) -> List[Loop]:
+    """``node`` and the loops each of which is its parent's only child
+    (barriers aside), when the innermost one's body is statements only;
+    empty otherwise."""
+    chain = [node]
+    while True:
+        kids = [child for child in chain[-1].body if not isinstance(child, Barrier)]
+        if len(kids) == 1 and isinstance(kids[0], Loop):
+            chain.append(kids[0])
+            continue
+        return chain if kids and all(isinstance(child, Assign) for child in kids) else []
+
+
+def _axis_candidates(chain: List[Loop]) -> List[List[Loop]]:
+    """The axis sets to try for a thread-region nest, widest first: an
+    unmapped perfect nest all the way down or down to its serial
+    innermost loop, then the head alone when it holds statements or one
+    loop of them (the shapes one axis may slice there).
+
+    A loop that runs at most once is no axis: its length-1 dimension
+    buys nothing and makes every operation broadcast (a 1x4 update costs
+    ~1.8x a 4-wide one in NumPy), so it stays a native loop and the
+    loops under it are tried in turn.
+    """
+    out = [
+        chain[:k]
+        for k in (len(chain), len(chain) - 1)
+        if k >= 2 and all(loop.mapped_to is None for loop in chain[:k])
+    ]
+    if 1 <= len(chain) <= 2:
+        out.append(chain[:1])
+    return [axes for axes in out if not any(map(_runs_once, axes))]
+
+
+def _runs_once(loop: Loop) -> bool:
+    """Whether ``loop``'s constant bounds give it at most one iteration."""
+    lo, hi = loop.lower, loop.upper
+    return (
+        isinstance(lo, AffineExpr)
+        and isinstance(hi, AffineExpr)
+        and not lo.terms
+        and not hi.terms
+        and hi.offset - lo.offset <= loop.step
+    )
+
+
+def _axes_ordered(axes: Sequence[Loop]) -> bool:
+    """Whether every reference under the innermost axis moves with at
+    most one axis per subscript, and meets the axes in their order: then
+    each reference's slice dimensions are the axes' in order."""
+    names = [loop.var for loop in axes]
+    for stmt in iter_statements(axes[-1].body):
+        for ref in stmt.all_refs():
+            seen: List[int] = []
+            for index in ref.indices:
+                moved = [at for at, name in enumerate(names) if index.depends_on(name)]
+                if len(moved) > 1:
+                    return False
+                seen += moved
+            if seen != sorted(seen):
+                return False
+    return True
 
 
 def _carrying(nest: Loop, outer: Tuple[Loop, ...], among: List[Loop]) -> Set[Loop]:
@@ -414,33 +643,6 @@ def _sliceable(ref: ArrayRef, var: str, require_dep: bool) -> bool:
     if require_dep and dep_dims == 0:
         return False
     return True
-
-
-class _VecCtx:
-    """Per-vectorized-loop context mapping v-dependent indices to slices."""
-
-    __slots__ = ("var", "lo", "n", "step")
-
-    def __init__(self, var: str, lo: str, n: str, step: int):
-        self.var = var
-        self.lo = lo
-        self.n = n
-        self.step = step
-
-    def slice_code(
-        self, lowerer: _Lowerer, index: AffineExpr, bound: Set[str], depth: int
-    ) -> str:
-        coeff = index.coeff(self.var)
-        rest = index.substitute({self.var: 0})
-        start = lowerer.tmp("st")
-        lowerer.line(
-            depth,
-            f"{start} = {lowerer.aff_code(rest, bound - {self.var})} + {coeff}*{self.lo}",
-        )
-        stride = coeff * self.step
-        # Exactly n elements: start, start+stride, ...; an empty loop
-        # (n == 0) degenerates to the always-empty slice [start:start].
-        return f"{start}:{start} + {stride}*{self.n}:{stride}"
 
 
 def lower_computation(comp: Computation, thread_order: str = "asc") -> LoweredKernel:

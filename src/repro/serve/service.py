@@ -982,7 +982,7 @@ class BlasService:
                 # chained baseline: every node through the NumPy
                 # reference, back to back — the semantic contract fused
                 # plans match
-                out = request.dag.reference(request.arrays)
+                out = request.dag.reference(request.arrays, request.node_sizes)
             else:
                 n = max(request.sizes.values())
                 try:

@@ -17,6 +17,8 @@ from repro.ir import (
     Flag,
     Guard,
     Loop,
+    Neg,
+    Recip,
     Stage,
     ValidationError,
     allocate_arrays,
@@ -85,6 +87,12 @@ class TestNodes:
             "+=",
         )
         assert stmt.flop_count() == 2  # one mul + one add
+
+    def test_uses_division_walks_the_whole_expression(self):
+        a, b = ArrayRef("A", [var("i")]), ArrayRef("B", [var("i")])
+        assert not BinOp("*", a, Neg(b)).uses_division()
+        assert BinOp("-", a, BinOp("/", a, b)).uses_division()
+        assert Neg(BinOp("*", a, Recip(b))).uses_division()
 
     def test_find_loop(self):
         comp = gemm_comp()

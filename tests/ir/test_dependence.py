@@ -142,6 +142,29 @@ class TestTraceBudget:
         assert not interchange_legal(nest)
 
 
+class TestChunkBudget:
+    """Each loop level of this trace stays under the level budget (the
+    offset 800 sizes it at N = 801, 641,601 instances), but its six
+    references make an access matrix of 5 x 3,849,606 cells, past the
+    chunk budget.  Past it the questions get the conservative answer."""
+
+    SOURCE = """
+        Li: for (i = 0; i < N; i++)
+        Lj:   for (j = 0; j < N; j++)
+                C[i][j] = C[i][j+800] + D[i][j] + D[i][j+1] + D[i][j+2] + D[i][j+3];
+        """
+
+    def test_every_loop_asked_about_carries(self):
+        (nest,) = parse_labeled_source(self.SOURCE)
+        # the exact answer is only j (an anti dependence)
+        assert carried_vars(nest) == {"i", "j"}
+
+    def test_no_reordering_is_kept(self):
+        (nest,) = parse_labeled_source(self.SOURCE)
+        # the exact answer is that i and j may swap
+        assert not interchange_legal(nest)
+
+
 class TestInterchange:
     def test_gemm_ij_interchange_legal(self):
         (nest,) = parse_labeled_source(

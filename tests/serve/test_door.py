@@ -222,3 +222,27 @@ def test_dag_with_disagreeing_shapes_answers_error(kind):
     assert response.source == "error"
     assert "dimension" in response.error
     assert service.telemetry.count("serve.errors") == 1
+
+
+@pytest.mark.parametrize("kind", ["service", "tier"])
+def test_chained_fallback_answers_from_the_door_sizes(counts, kind):
+    """A DAG request past its deadline is answered by the chained
+    reference, which reuses the sizes taken at the door."""
+    ticks = [0.0]
+    kwargs = dict(
+        options=ServeOptions(),
+        tuning=TuningOptions(space=SMALL_SPACE, jobs=1),
+        telemetry=Telemetry(),
+        clock=lambda: ticks[0],
+    )
+    service = BlasService(GTX_285, **kwargs) if kind == "service" else ShardedBlasService(GTX_285, 2, **kwargs)
+    dag, x = gemm_trsm(), dag_inputs()
+    service.run_dag(dag, **x)  # warm the plan
+    counts.clear()
+    pending = service.submit_dag(dag, deadline_s=1.0, **x)
+    ticks[0] = 5.0
+    service.flush()
+    response = pending.response()
+    assert (response.source, response.fallback_reason) == ("fallback", "deadline")
+    assert counts["sizes"] == SIZINGS_PER_TWO_NODE_DAG
+    np.testing.assert_allclose(response.output, dag.reference(x), rtol=1e-6, atol=1e-6)
