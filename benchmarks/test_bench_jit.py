@@ -7,10 +7,11 @@ asserts the compiled path is an order of magnitude faster, and writes
 ``BENCH_jit.json`` at the repo root.  Then runs all 28 BLAS3 reference
 nests (the source routines every verify sweep runs as its oracle) at
 the verify sweep's sizes and adds their interpreter and JIT times and
-sliced loop counts under ``reference_nests``, and the kernels the
-``serve_kernel`` perfbench workload serves (the serve space's GEMM-NN
-and TRSM-LL-N winners of the N=64 bucket, at N=48 and 64) under
-``served``.  Cross-checks outputs bit-for-bit on every measured run, so
+sliced loop counts under ``reference_nests``, and the serve space's
+GEMM-NN and TRSM-LL-N winners under ``served``: those of the N=64
+bucket at N=48 and 64 (what the ``serve_kernel`` perfbench workload
+serves) and those of the N=16 bucket at N=16 and 32 (``serve_small``'s
+kernels).  Cross-checks outputs bit-for-bit on every measured run, so
 the numbers can never drift from correctness.
 """
 
@@ -66,10 +67,10 @@ VARIANT_SCRIPTS = {
 SIZES_N = [32, 64]
 JIT_REPS = 5
 
-#: the ``serve_kernel`` workload's routines and sizes, served by the
-#: plans of their N=64 size bucket
+#: the serve workloads' routines, and the sizes each size bucket's plans
+#: run at: ``serve_kernel``'s N=48/64 and ``serve_small``'s N=16/32
 SERVED_ROUTINES = ("GEMM-NN", "TRSM-LL-N")
-SERVED_SIZES = (48, 64)
+SERVED_SIZES = {64: (48, 64), 16: (16, 32)}
 
 
 def _build(name):
@@ -200,32 +201,39 @@ def _record(key, value):
 
 
 def test_bench_served_kernels():
-    """The kernels ``serve_kernel`` spends its time in: each serve-space
-    winner's best-of-5 execution time, bit-identical to the interpreter."""
+    """The kernels the serve workloads spend their time in: each
+    serve-space winner's best-of-5 execution time, bit-identical to the
+    interpreter."""
     jit.clear_cache()
-    generator = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1, space=SERVE_SPACE, tune_size=64))
     served, lines = {}, []
-    for name in SERVED_ROUTINES:
-        tuned = generator.generate(name)
-        kernel = jit.compile_computation(tuned.comp)
-        for n in SERVED_SIZES:
-            sizes = {symbol: n for symbol in tuned.comp.dim_symbols}
-            inputs = make_inputs(tuned.comp, sizes, seed=n)
-            scalars = {"alpha": 1.5, "beta": 0.5}
-            ref = interpret(tuned.comp, sizes, inputs, scalars)
-            got = jit.execute(tuned.comp, sizes, inputs, scalars, kernel=kernel)
-            for arr in ref:
-                assert np.array_equal(ref[arr], got[arr]), f"{name} N={n}: {arr}"
-            best = float("inf")
-            for _ in range(JIT_REPS):
-                t0 = time.perf_counter()
-                jit.execute(tuned.comp, sizes, inputs, scalars, kernel=kernel)
-                best = min(best, time.perf_counter() - t0)
-            served[f"{name}@{n}"] = {
-                "config": tuned.config,
-                "kernel_us": round(best * 1e6, 1),
-                "vectorized_loops": kernel.vectorized_loops,
-            }
-            lines.append(f"{name:10s} N={n:3d}  kernel {best * 1e6:10.1f} us  sliced {kernel.vectorized_loops}")
+    for bucket, ns in SERVED_SIZES.items():
+        options = TuningOptions(jobs=1, space=SERVE_SPACE, tune_size=bucket)
+        generator = LibraryGenerator(GTX_285, options=options)
+        for name in SERVED_ROUTINES:
+            tuned = generator.generate(name)
+            kernel = jit.compile_computation(tuned.comp)
+            for n in ns:
+                sizes = {symbol: n for symbol in tuned.comp.dim_symbols}
+                inputs = make_inputs(tuned.comp, sizes, seed=n)
+                scalars = {"alpha": 1.5, "beta": 0.5}
+                ref = interpret(tuned.comp, sizes, inputs, scalars)
+                got = jit.execute(tuned.comp, sizes, inputs, scalars, kernel=kernel)
+                for arr in ref:
+                    assert np.array_equal(ref[arr], got[arr]), f"{name} N={n}: {arr}"
+                best = float("inf")
+                for _ in range(JIT_REPS):
+                    t0 = time.perf_counter()
+                    jit.execute(tuned.comp, sizes, inputs, scalars, kernel=kernel)
+                    best = min(best, time.perf_counter() - t0)
+                served[f"{name}@{n}"] = {
+                    "bucket": bucket,
+                    "config": tuned.config,
+                    "kernel_us": round(best * 1e6, 1),
+                    "vectorized_loops": kernel.vectorized_loops,
+                }
+                lines.append(
+                    f"{name:10s} N={n:3d} (bucket {bucket:2d})  kernel {best * 1e6:10.1f} us  "
+                    f"sliced {kernel.vectorized_loops}"
+                )
     _record("served", served)
-    emit("serve_kernel's kernels (serve space, N=64 bucket)\n" + "\n".join(lines) + f"\nwritten to {BENCH_PATH}")
+    emit("the serve workloads' kernels (serve space)\n" + "\n".join(lines) + f"\nwritten to {BENCH_PATH}")

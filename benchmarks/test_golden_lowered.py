@@ -7,7 +7,8 @@ the tuner picks on the GTX 285 in the default space and in the serve
 space at N=16 and N=64, under both thread orders.
 
 ``plan_records.json`` holds one record per winner and fallback in those
-three spaces and in ``small_space()`` at N=8: its config, ``applied_key``,
+three spaces, in ``small_space()`` at N=8 and in the default space on
+the GeForce 9800 and the Fermi C2050: its config, ``applied_key``,
 ``tuned_gflops`` rounded to 4 places and the sha256 of its CUDA source.
 
 Each space is generated once for both files.  A change that alters a
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from repro.blas3 import build_routine
 from repro.blas3.naming import ALL_VARIANTS, BATCHED_VARIANTS
-from repro.gpu import GTX_285
+from repro.gpu import FERMI_C2050, GEFORCE_9800, GTX_285
 from repro.ir.ast import Stage
 from repro.jit.lower import UnsupportedIR, lower_computation
 from repro.tuner import LibraryGenerator, TuningOptions
@@ -36,11 +37,14 @@ from tests.ir.test_dependence_vectorized import SERVE_SPACE
 
 GOLDEN = Path(__file__).parent / "golden" / "lowered_kernels.json"
 PLAN_GOLDEN = Path(__file__).parent / "golden" / "plan_records.json"
+#: label -> (GPU, tuning options)
 SPACES = {
-    "default": {},
-    "serve16": dict(space=SERVE_SPACE, tune_size=16),
-    "serve64": dict(space=SERVE_SPACE, tune_size=64),
-    "small8": dict(space=tuple(small_space()), tune_size=8),
+    "default": (GTX_285, {}),
+    "serve16": (GTX_285, dict(space=SERVE_SPACE, tune_size=16)),
+    "serve64": (GTX_285, dict(space=SERVE_SPACE, tune_size=64)),
+    "small8": (GTX_285, dict(space=tuple(small_space()), tune_size=8)),
+    "geforce9800-default": (GEFORCE_9800, {}),
+    "fermi-default": (FERMI_C2050, {}),
 }
 #: the spaces whose plans are lowered and hashed
 LOWERED_SPACES = ("default", "serve16", "serve64")
@@ -55,7 +59,8 @@ def _sha256(text):
 def plans(space):
     """``{(kind, routine): TunedRoutine}``: every winner and fallback of
     one space, generated once per process."""
-    generator = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1, **SPACES[space]))
+    gpu, options = SPACES[space]
+    generator = LibraryGenerator(gpu, options=TuningOptions(jobs=1, **options))
     out = {}
     for name in ROUTINES:
         tuned = generator.generate(name)

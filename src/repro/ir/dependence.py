@@ -497,23 +497,25 @@ def _own_cells(loop: Loop) -> bool:
     """Whether each iteration of ``loop`` provably touches its own cells
     of every array written inside it, so it carries no dependence.
 
-    True when each such array is referenced inside the loop through one
-    index tuple, with a subscript that moves with the loop's variable
-    and with no loop inside it: two iterations in one iteration of the
-    loops around it then differ in that subscript.
+    True when every reference inside the loop to each such array shares
+    one subscript: the same affine index at the same position, one that
+    moves with the loop's variable and reads no loop inside it.  Two
+    iterations in one iteration of the loops around it then differ in
+    that subscript.
     """
     inner = {child.var for child in iter_loops(loop.body)}
-    indices: Dict[str, Set[Tuple]] = {}
+    refs: Dict[str, List[ArrayRef]] = {}
     statements = list(iter_statements(loop.body))
     for stmt in statements:
         for ref in stmt.all_refs():
-            indices.setdefault(ref.array, set()).add(ref.indices)
+            refs.setdefault(ref.array, []).append(ref)
     for array in {stmt.target.array for stmt in statements}:
-        if len(indices[array]) > 1:
-            return False
-        (subscripts,) = indices[array]
+        first, *rest = refs[array]
         if not any(
-            index.coeff(loop.var) and not (index.free_vars() & inner) for index in subscripts
+            index.coeff(loop.var)
+            and not (index.free_vars() & inner)
+            and all(at < len(ref.indices) and ref.indices[at] == index for ref in rest)
+            for at, index in enumerate(first.indices)
         ):
             return False
     return True

@@ -12,21 +12,20 @@ ordinary Python source:
   as integer arithmetic over local variables;
 * array subscripts become direct NumPy indexing expressions;
 * guards become ``if``/``else`` with the predicate inlined;
-* loops are **vectorized into NumPy slice operations**: a loop's whole
-  body is lowered once over slices along its variable, with nested
-  loops and guards left native.  Legal when the body slices along the
-  variable and :func:`repro.ir.dependence.carrying_loops` proves the
-  loop carries no dependence for any value of the loops around it (the
-  same PolyDeps-style oracle the composer's filter trusts); elementwise
-  slice arithmetic in NumPy is bit-identical to the scalar loop because
-  the per-element float operations are the same IEEE operations in the
-  same order.  In a sequential nest (no loop in, around or below it
-  mapped to the grid, e.g. a BLAS3 reference routine) the deepest legal
-  loop is chosen, so reductions stay serial.  Under thread-mapped loops
-  a perfect nest of unmapped loops (a register tile's ``a``/``b``)
-  becomes one multi-axis slice expression, its serial reduction loop
-  left innermost; otherwise a loop there slices only a flat body of
-  statements or one loop of them (DESIGN.md §9 says why);
+* loops are **vectorized into NumPy slice operations**: a chain of
+  loops, each the only child of the one before, becomes slice axes, and
+  the innermost one's whole body is lowered once over one slice
+  dimension per axis, with nested loops and guards left native.  Legal
+  when every axis's body slices along its variable, the references meet
+  the axes in order and :func:`repro.ir.dependence.carrying_loops`
+  proves no axis carries a dependence for any value of the loops around
+  it (the same PolyDeps-style oracle the composer's filter trusts);
+  elementwise slice arithmetic in NumPy is bit-identical to the scalar
+  loops because the per-element float operations are the same IEEE
+  operations in the same order.  Every loop reached outside slice axes
+  is tried by the same rule (:meth:`_Lowerer._slice_axes`): a register
+  tile's ``a``/``b`` become one multi-axis slice expression, GEMM's
+  reference ``i``/``j`` another, and reductions stay native loops;
 * inside each native loop, slices and the views that ``+=``/``-=``
   update are **hoisted** above the loop when they do not depend on its
   variable, so a reduction loop runs ``view += rhs`` only.
@@ -48,6 +47,7 @@ requested order.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -75,7 +75,7 @@ from ..ir.ast import (
 )
 from ..ir.dependence import carrying_loops
 from ..ir.fingerprint import UnsupportedIR, computation_fingerprint
-from ..ir.visitors import iter_loops, iter_statements, walk
+from ..ir.visitors import iter_statements, walk
 
 __all__ = [
     "UnsupportedIR",
@@ -172,7 +172,6 @@ class _Lowerer:
         self._scalars: Dict[str, str] = {}
         self._free: Set[str] = set()  # env vars read before any loop binds them
         self.vectorized_loops = 0
-        self._sequential: Dict[int, bool] = {}  # id(loop) -> slice axis?
         self._frames: List[_Frame] = []  # open native loops, outermost first
         self._level: Dict[str, int] = {}  # temp -> open loops around its definition
 
@@ -445,7 +444,7 @@ class _Lowerer:
             bound.discard(node.var)
 
     def emit_sliced(self, axes: List[Loop], lo: str, hi: str, bound: Set[str], depth: int) -> None:
-        """Emit the innermost body of the perfect nest ``axes`` (outermost
+        """Emit the innermost body of the loop chain ``axes`` (outermost
         first; ``lo``/``hi`` hold the first one's bounds) once, over one
         slice dimension per axis."""
         added = [loop.var for loop in axes if loop.var not in bound]
@@ -468,103 +467,75 @@ class _Lowerer:
         """The loops, ``node`` first, that become slice axes over the
         innermost one's body; empty when ``node`` stays native.
 
-        Every axis's body must slice along its variable
-        (:func:`_sliceable_body`), each reference must meet the axes in
-        their order (:func:`_axes_ordered`), and no axis may carry a
-        dependence inside the ``outer`` loops (:func:`carrying_loops`).
+        The axes are the longest prefix of ``node``'s :func:`_chain`
+        whose loops are unmapped, run more than once (:func:`_runs_once`)
+        and slice their bodies (:func:`_sliceable_body`), whose
+        references meet them in order (:func:`_axes_ordered`), and of
+        which one :func:`carrying_loops` question, inside the ``outer``
+        loops, finds none carrying.  Each of these holds for a prefix
+        when it holds for a longer one, so trimming the chain at the
+        first failure finds that prefix.  It is kept when it spans more
+        than two elements (:func:`_narrow`); a shorter one spans fewer.
         Lowering the body once over the slices runs the axes innermost;
         with no dependence between their iterations, each element sees
-        the same float operations in the same order as the scalar
-        loops, so results stay bit-identical.
-
-        In a **sequential** nest (no loop in it, around it or below it is
-        mapped to the grid) the deepest such loop is the one axis: one
-        trace decides every loop of the nest when its outermost loop is
-        reached.  Under thread-mapped loops, a perfect nest of unmapped
-        loops (a register tile) becomes axes all the way down, or down
-        to a serial innermost loop (the reduction over ``k``); otherwise
-        a loop there slices only a flat body of statements or a single
-        loop of statements (lowered by interchange).  A thread-mapped
-        loop is never one of several axes; the ROADMAP's SIMT item owns
-        thread loops as axes.
+        the same float operations in the same order as the scalar loops,
+        so results stay bit-identical.  A native loop's body is lowered
+        by the same rule, so every loop reached outside slice axes is
+        tried.
         """
-        if node.mapped_to is None and not any(loop.mapped_to for loop in outer):
-            if id(node) not in self._sequential:
-                self._sequential.update(_plan_sequential(node, outer))
-            if id(node) in self._sequential:
-                return [node] if self._sequential[id(node)] else []
-        for axes in _axis_candidates(_perfect_nest(node)):
-            if (
-                all(_sliceable_body(loop) for loop in axes)
-                and _axes_ordered(axes)
-                and not _carrying(node, outer, axes)
-            ):
-                return axes
-        return []
+        axes = list(itertools.takewhile(_may_slice, _chain(node)))
+        while axes and not _axes_ordered(axes):
+            axes.pop()
+        if axes:
+            carrying = _carrying(node, outer, axes)
+            axes = list(itertools.takewhile(lambda loop: loop not in carrying, axes))
+        return [] if _narrow(axes) else axes
 
 
-def _plan_sequential(root: Loop, outer: Tuple[Loop, ...]) -> Dict[int, bool]:
-    """Slice-axis decisions for every loop of ``root``'s nest, keyed by
-    ``id``; empty when a loop in it is mapped (not a sequential nest)."""
-    loops = list(iter_loops([root]))
-    if any(loop.mapped_to is not None for loop in loops):
-        return {}
-    candidates = [loop for loop in loops if _sliceable_body(loop)]
-    legal: Set[int] = set()
-    if candidates:
-        carrying = _carrying(root, outer, candidates)
-        legal = {id(loop) for loop in candidates if loop not in carrying}
-    return {
-        id(loop): id(loop) in legal
-        and not any(id(inner) in legal for inner in iter_loops(loop.body))
-        for loop in loops
-    }
-
-
-def _perfect_nest(node: Loop) -> List[Loop]:
-    """``node`` and the loops each of which is its parent's only child
-    (barriers aside), when the innermost one's body is statements only;
-    empty otherwise."""
+def _chain(node: Loop) -> List[Loop]:
+    """``node`` and each loop that is the only child (barriers aside) of
+    the one before it."""
     chain = [node]
     while True:
         kids = [child for child in chain[-1].body if not isinstance(child, Barrier)]
-        if len(kids) == 1 and isinstance(kids[0], Loop):
-            chain.append(kids[0])
-            continue
-        return chain if kids and all(isinstance(child, Assign) for child in kids) else []
+        if len(kids) != 1 or not isinstance(kids[0], Loop):
+            return chain
+        chain.append(kids[0])
 
 
-def _axis_candidates(chain: List[Loop]) -> List[List[Loop]]:
-    """The axis sets to try for a thread-region nest, widest first: an
-    unmapped perfect nest all the way down or down to its serial
-    innermost loop, then the head alone when it holds statements or one
-    loop of them (the shapes one axis may slice there).
+def _may_slice(loop: Loop) -> bool:
+    """Whether ``loop`` may be a slice axis, its dependences aside.
 
-    A loop that runs at most once is no axis: its length-1 dimension
-    buys nothing and makes every operation broadcast (a 1x4 update costs
-    ~1.8x a 4-wide one in NumPy), so it stays a native loop and the
-    loops under it are tried in turn.
+    A thread-mapped loop is no axis (the ROADMAP's SIMT item owns thread
+    loops as axes), nor is a loop that runs at most once: its length-1
+    dimension buys nothing and makes every operation broadcast (a 1x4
+    update costs ~1.8x a 4-wide one in NumPy), so it stays a native loop
+    and the loops under it are tried in turn.
     """
-    out = [
-        chain[:k]
-        for k in (len(chain), len(chain) - 1)
-        if k >= 2 and all(loop.mapped_to is None for loop in chain[:k])
-    ]
-    if 1 <= len(chain) <= 2:
-        out.append(chain[:1])
-    return [axes for axes in out if not any(map(_runs_once, axes))]
+    return loop.mapped_to is None and not _runs_once(loop) and _sliceable_body(loop)
+
+
+def _trips(loop: Loop) -> Optional[int]:
+    """``loop``'s trip count when both its bounds are constants."""
+    lo, hi = loop.lower, loop.upper
+    if isinstance(lo, AffineExpr) and isinstance(hi, AffineExpr) and not lo.terms and not hi.terms:
+        return max(0, -(-(hi.offset - lo.offset) // loop.step))
+    return None
 
 
 def _runs_once(loop: Loop) -> bool:
     """Whether ``loop``'s constant bounds give it at most one iteration."""
-    lo, hi = loop.lower, loop.upper
-    return (
-        isinstance(lo, AffineExpr)
-        and isinstance(hi, AffineExpr)
-        and not lo.terms
-        and not hi.terms
-        and hi.offset - lo.offset <= loop.step
-    )
+    trips = _trips(loop)
+    return trips is not None and trips <= 1
+
+
+def _narrow(axes: Sequence[Loop]) -> bool:
+    """Whether ``axes`` provably span at most two elements: one slice
+    operation then costs more than the scalar ones it replaces (a
+    2-wide update under a native loop runs at 0.78x the speed of two
+    scalar ones, a 3-wide one at 1.14x)."""
+    trips = [_trips(loop) for loop in axes]
+    return None not in trips and math.prod(trips) <= 2
 
 
 def _axes_ordered(axes: Sequence[Loop]) -> bool:

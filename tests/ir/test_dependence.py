@@ -5,6 +5,7 @@ import pytest
 from repro.ir import (
     ArrayRef,
     Assign,
+    BinOp,
     Loop,
     carrying_loops,
     fusion_legal,
@@ -121,19 +122,20 @@ class TestAnalyze:
 class TestTraceBudget:
     """Steps 7, 8, 9 and 5 size the trace at their lcm, N = 2,521: four
     loops over it would enumerate ~1.6e10 instances.  Past the budget
-    the questions get the conservative answer instead."""
+    the questions get the conservative answer instead.  No subscript is
+    shared by the write and the read, so every loop is asked."""
 
     SOURCE = """
         Li: for (i = 0; i < N; i += 7)
         Lj:   for (j = 0; j < N; j += 8)
         Lk:     for (k = 0; k < N; k += 9)
         Ll:       for (l = 0; l < N; l += 5)
-                    C[i][j][k][l] = C[i][j][k][l+1];
+                    C[i][j][k][l] = C[i+1][j+1][k+1][l+1];
         """
 
     def test_every_loop_asked_about_carries(self):
         (nest,) = parse_labeled_source(self.SOURCE)
-        # the exact answer is only l (an anti dependence)
+        # the exact answer is none: i + 1 is never a multiple of 7
         assert carried_vars(nest) == {"i", "j", "k", "l"}
 
     def test_no_reordering_is_kept(self):
@@ -146,17 +148,18 @@ class TestChunkBudget:
     """Each loop level of this trace stays under the level budget (the
     offset 800 sizes it at N = 801, 641,601 instances), but its six
     references make an access matrix of 5 x 3,849,606 cells, past the
-    chunk budget.  Past it the questions get the conservative answer."""
+    chunk budget.  Past it the questions get the conservative answer.
+    No subscript of ``C`` is shared, so both loops are asked."""
 
     SOURCE = """
         Li: for (i = 0; i < N; i++)
         Lj:   for (j = 0; j < N; j++)
-                C[i][j] = C[i][j+800] + D[i][j] + D[i][j+1] + D[i][j+2] + D[i][j+3];
+                C[i][j] = C[i+1][j+800] + D[i][j] + D[i][j+1] + D[i][j+2] + D[i][j+3];
         """
 
     def test_every_loop_asked_about_carries(self):
         (nest,) = parse_labeled_source(self.SOURCE)
-        # the exact answer is only j (an anti dependence)
+        # the exact answer is only i (an anti dependence)
         assert carried_vars(nest) == {"i", "j"}
 
     def test_no_reordering_is_kept(self):
@@ -324,24 +327,50 @@ class _OddPredicate:
     """A guard predicate outside the structural encoder's subset."""
 
 
+@pytest.fixture
+def traces(monkeypatch):
+    """Count the traces behind a cold memo."""
+    from repro.ir import dependence
+
+    dependence.clear_cache()
+    calls = []
+    original = dependence._trace_carrying
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dependence, "_trace_carrying", counting)
+    yield calls
+    dependence.clear_cache()
+
+
+class TestSharedSubscript:
+    """A loop whose written arrays each share one subscript that moves
+    with it, in every reference inside it, needs no trace."""
+
+    def test_shared_column_answers_without_a_trace(self, traces):
+        # the TRSM diagonal solve: B[si][sj] and B[k][sj] share sj
+        si, sj, k = var("si"), var("sj"), var("k")
+        product = BinOp("*", ArrayRef("A", [si, k]), ArrayRef("B", [k, sj]))
+        update = Assign(ArrayRef("B", [si, sj]), product, "-=")
+        quotient = BinOp("/", ArrayRef("B", [si, sj]), ArrayRef("A", [si, si]))
+        scale = Assign(ArrayRef("B", [si, sj]), quotient)
+        inner = Loop("sj", 0, "N", [Loop("k", 0, si, [update]), scale])
+        outer = Loop("si", 0, "M", [inner])
+        assert carrying_loops(inner, [outer], among=[inner]) == set()
+        assert traces == []
+
+    def test_shared_subscript_reading_an_inner_loop_traces(self, traces):
+        # A[j+k] is shared, but moves with k inside j: iterations overlap
+        j, k = var("j"), var("k")
+        stmt = Assign(ArrayRef("A", [j + k]), BinOp("*", ArrayRef("A", [j + k]), ArrayRef("B", [k])))
+        nest = Loop("j", 0, "N", [Loop("k", 0, 3, [stmt])])
+        assert carrying_loops(nest, among=[nest]) == {nest}
+        assert len(traces) == 1
+
+
 class TestMemo:
-    @pytest.fixture
-    def traces(self, monkeypatch):
-        """Count the traces behind a cold memo."""
-        from repro.ir import dependence
-
-        dependence.clear_cache()
-        calls = []
-        original = dependence._trace_carrying
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(dependence, "_trace_carrying", counting)
-        yield calls
-        dependence.clear_cache()
-
     def test_relabelled_clone_hits(self, traces):
         body = _memo_body()
         first = _positions(body, carrying_loops(body[0]))

@@ -11,7 +11,8 @@ expression.  These tests check that:
   outside the ``k`` loop;
 * a tile of several rows and columns becomes a two-axis slice, a
   one-row tile keeps its row loop native, and a reference that meets
-  the axes out of order keeps the nest to one axis;
+  the axes out of order keeps the nest to one axis, and a lone axis of
+  two iterations stays native;
 * every compiled kernel of all 28 routines, at the verify tile
   configuration and in the serve space, is ``np.array_equal`` to the
   interpreter under both thread orders and both flag settings.
@@ -89,21 +90,40 @@ def test_register_tile_axes(generators, space, axes):
 
 
 def test_transposed_reference_keeps_one_axis():
-    """``for tx (thread): for a < 2: for b < 3: X[tx][a][b] = Y[tx][b][a]``:
-    Y meets the axes out of order, so its slice would be 3x2 against a
-    2x3 target; ``a`` slices alone and ``b`` stays native."""
+    """``for tx (thread): for a < 3: for b < 2: X[tx][a][b] = Y[tx][b][a]``:
+    Y meets the axes out of order, so its slice would be 2x3 against a
+    3x2 target; ``a`` slices alone and ``b`` stays native."""
     tx, a, b, T = (AffineExpr.variable(name) for name in ("tx", "a", "b", "T"))
     stmt = Assign(ArrayRef("X", [tx, a, b]), ArrayRef("Y", [tx, b, a]))
-    nest = Loop("tx", 0, T, [Loop("a", 0, 2, [Loop("b", 0, 3, [stmt])])], mapped_to="thread.x")
-    arrays = {"X": Array("X", (T, 2, 3)), "Y": Array("Y", (T, 3, 2))}
+    nest = Loop("tx", 0, T, [Loop("a", 0, 3, [Loop("b", 0, 2, [stmt])])], mapped_to="thread.x")
+    arrays = {"X": Array("X", (T, 3, 2)), "Y": Array("Y", (T, 2, 3))}
     comp = Computation("transposed", arrays, [Stage("main", [nest])], scalars=(), dim_symbols=("T",))
     kernel = jit.compile_computation(comp)
     assert set(re.findall(r"for v\d+_(\w+) in", kernel.source)) == {"tx", "b"}
     rng = np.random.default_rng(1)
-    inputs = {"Y": rng.random((4, 3, 2)).astype(np.float32)}
+    inputs = {"Y": rng.random((4, 2, 3)).astype(np.float32)}
     ref = interpret(comp, {"T": 4}, inputs)
     got = jit.execute(comp, {"T": 4}, inputs, kernel=kernel)
     assert np.array_equal(ref["X"], got["X"])
+
+
+def test_a_lone_two_iteration_axis_stays_native():
+    """``for tx (thread): for a < 2: for b < 8: for k < b: C[tx][a][b] +=
+    A[a][k]``: ``b`` bounds ``k`` and cannot slice, and ``a`` alone would
+    be a 2-wide slice under native loops, slower than its two scalar
+    iterations, so every loop stays native; with three rows ``a`` slices."""
+    tx, a, b, k, T = (AffineExpr.variable(name) for name in ("tx", "a", "b", "k", "T"))
+    stmt = Assign(ArrayRef("C", [tx, a, b]), ArrayRef("A", [a, k]), "+=")
+    arrays = {"C": Array("C", (T, 3, 8)), "A": Array("A", (3, 8))}
+
+    def sliced(rows):
+        tile = Loop("a", 0, rows, [Loop("b", 0, 8, [Loop("k", 0, b, [stmt])])])
+        nest = Loop("tx", 0, T, [tile], mapped_to="thread.x")
+        comp = Computation("tile", arrays, [Stage("main", [nest])], scalars=(), dim_symbols=("T",))
+        return jit.compile_computation(comp).vectorized_loops
+
+    assert sliced(2) == 0
+    assert sliced(3) == 1
 
 
 @pytest.mark.parametrize("space", sorted(SPACES))

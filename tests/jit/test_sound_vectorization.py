@@ -9,7 +9,9 @@ kernels against the interpreter with ``np.array_equal``:
   thread-mapped loop;
 * random nests whose enclosing variables appear in inner bounds, guards
   and index offsets, under both thread orders;
-* every BLAS3 reference nest, which must also slice at least one loop;
+* every BLAS3 reference nest, which must also slice at least one loop,
+  and four of them, which slice the longest legal chain of loops;
+* the served TRSM-LL-N winners, whose diagonal solve slices ``sj``;
 * the TRSM-RU-N and TRSM-RL-T winners of the default space and of the
   serve space at N=64, whose register tile loop ``b`` inside a 16-step
   tile loop slices.
@@ -135,14 +137,41 @@ def test_reference_nest_is_sliced_and_bit_identical(name):
 
 @pytest.mark.parametrize(
     "name, native, sliced",
-    [("BGEMM-NN", "pik", "j"), ("TRSM-LL-N", "ik", "j"), ("TRMM-RU-N", "jk", "i")],
+    [
+        ("GEMM-NN", "k", "ij"),
+        ("BGEMM-NN", "k", "pij"),
+        ("TRSM-LL-N", "ik", "j"),
+        ("TRMM-RU-N", "jk", "i"),
+    ],
 )
-def test_sequential_nest_slices_its_deepest_legal_loop(name, native, sliced):
-    # BGEMM slices N, not the narrow batch P; the reductions over k stay
-    # native loops, so their float32 order is the interpreter's
-    source = jit.compile_computation(build_routine(name)).source
-    loops = set(re.findall(r"for v\d+_(\w+) in", source))
-    assert loops == set(native) and sliced not in loops
+def test_reference_nest_slices_its_longest_chain(name, native, sliced):
+    # GEMM's i, j (BGEMM's p, i, j) become one slice expression; TRSM's
+    # A[i][i] keeps i native and TRMM-RU's k starts at j, so one loop
+    # slices there; the reductions over k stay native loops, so their
+    # float32 order is the interpreter's
+    kernel = jit.compile_computation(build_routine(name))
+    loops = set(re.findall(r"for v\d+_(\w+) in", kernel.source))
+    assert loops == set(native) and kernel.vectorized_loops == len(sliced)
+
+
+@pytest.mark.parametrize("bucket", [16, 64])
+def test_served_trsm_slices_its_diagonal_solve(bucket):
+    # the tx == 0 and ty == 0 block solves ``for si: for sj: { for k:
+    # B[si][sj] -= A[si][k] * B[k][sj]; B[si][sj] /= A[si][si] }``: sj
+    # shares B's column in every reference, so it slices, and si (which
+    # reads the diagonal A[si][si]) stays native
+    options = TuningOptions(jobs=1, space=SERVE_SPACE, tune_size=bucket)
+    comp = LibraryGenerator(GTX_285, options=options).generate("TRSM-LL-N").comp
+    sizes = {symbol: bucket for symbol in comp.dim_symbols}
+    inputs = make_inputs(comp, sizes, seed=bucket)
+    for order in ("asc", "desc"):
+        kernel = jit.compile_computation(comp, order)
+        loops = set(re.findall(r"for v\d+_(\w+) in", kernel.source))
+        assert "si" in loops and "sj" not in loops, order
+        ref = interpret(comp, sizes, inputs, {"alpha": 1.5}, thread_order=order)
+        got = jit.execute(comp, sizes, inputs, {"alpha": 1.5}, thread_order=order, kernel=kernel)
+        for array in ref:
+            assert np.array_equal(ref[array], got[array]), (order, array)
 
 
 @pytest.mark.parametrize("name", ["TRSM-RU-N", "TRSM-RL-T"])
