@@ -15,10 +15,11 @@ against the plain per-unit evaluation:
   with synthesised label counters renamed by first appearance.
 
 It records the search's transform applications, analytic profiles,
-reused kernels and wall time in ``BENCH_search_reuse.json``, and its
-count fields must equal ``golden/search_reuse_counts.json`` exactly: a
-change that moves one on purpose copies the new counts from the record
-there and explains them.
+reused kernels, ``Computation.clone`` calls (a transform clones its
+input only once it knows it applies) and wall time in
+``BENCH_search_reuse.json``, and its count fields must equal
+``golden/search_reuse_counts.json`` exactly: a change that moves one on
+purpose copies the new counts from the record there and explains them.
 """
 
 import json
@@ -31,6 +32,7 @@ from repro.blas3.naming import ALL_VARIANTS, BATCHED_VARIANTS
 from repro.epod import EpodTranslator
 from repro.gpu import GTX_285
 from repro.gpu.simulator import SimulatedGPU
+from repro.ir import Computation
 from repro.ir.fingerprint import computation_fingerprint
 from repro.ir.printer import print_computation
 from repro.telemetry import Telemetry
@@ -69,7 +71,8 @@ def fresh_outcome(gpu, source, score, sizes, nominal):
 
 
 def counting(monkeypatch, tally):
-    """Count transform applications and profiles made inside a search."""
+    """Count transform applications, profiles and computation clones made
+    inside a search."""
     inside = [False]
 
     def in_search(fn):
@@ -91,6 +94,7 @@ def counting(monkeypatch, tally):
 
     monkeypatch.setattr(VariantSearch, "search", in_search(VariantSearch.search))
     monkeypatch.setattr(SimulatedGPU, "profile", counted(SimulatedGPU.profile, "profiles"))
+    monkeypatch.setattr(Computation, "clone", counted(Computation.clone, "computation_clones"))
     for cls in {type(t) for t in REGISTRY.values()}:
         monkeypatch.setattr(cls, "apply", counted(cls.apply, "transform_applications"))
 
@@ -98,7 +102,7 @@ def counting(monkeypatch, tally):
 def test_bench_search_reuse(monkeypatch):
     telemetry = Telemetry()
     gen = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1), telemetry=telemetry)
-    tally = {"transform_applications": 0, "profiles": 0}
+    tally = {"transform_applications": 0, "profiles": 0, "computation_clones": 0}
     with monkeypatch.context() as patch:
         counting(patch, tally)
         t0 = time.perf_counter()
@@ -143,6 +147,7 @@ def test_bench_search_reuse(monkeypatch):
         "ok_scores_checked": checked,
         "profiles": tally["profiles"],
         "transform_applications": tally["transform_applications"],
+        "computation_clones": tally["computation_clones"],
         "translate_components_omitted": telemetry.count("translate.components_omitted"),
         "search_s": search_s,
         "generate_s": generate_s,
@@ -151,7 +156,8 @@ def test_bench_search_reuse(monkeypatch):
     emit(
         f"search reuse, {len(tuned)} routines, GTX 285, curated space, jobs=1\n"
         f"units {units}   kernels reused {reused}   profiles {tally['profiles']}   "
-        f"transform applications {tally['transform_applications']}\n"
+        f"transform applications {tally['transform_applications']}   "
+        f"clones {tally['computation_clones']}\n"
         f"search {search_s:.1f} s   generate {generate_s:.1f} s   "
         f"ok scores checked {checked}"
     )

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..ir.affine import AffineExpr, Bound, MinExpr
 from ..ir.ast import (
     And,
+    Array,
     Assign,
     Barrier,
     BinOp,
@@ -38,6 +39,7 @@ from ..ir.ast import (
     Node,
     Stage,
 )
+from ..transforms.util import phase_kind
 
 __all__ = ["AccessModel", "PhaseModel", "KernelModel", "analyze_stage", "analyze_computation"]
 
@@ -113,29 +115,37 @@ class KernelModel:
 
 def _avg_bound(bound: Bound, env: Mapping[str, float]) -> float:
     if isinstance(bound, AffineExpr):
-        return bound.offset + sum(c * env.get(v, 0.0) for v, c in bound.terms.items())
+        total = 0
+        for v, c in bound.terms.items():
+            total += c * env.get(v, 0.0)
+        return bound.offset + total
     values = [_avg_bound(op, env) for op in bound.operands]
     return min(values) if isinstance(bound, MinExpr) else max(values)
 
 
-def _avg_trip(
+def _loop_average(
     loop: Loop, env: Mapping[str, float], thread_vars: Tuple[str, ...] = ()
-) -> float:
-    """Expected trip count over the enclosing domain.
+) -> Tuple[float, float]:
+    """``(expected trip, mean loop-variable value)`` over the enclosing domain.
 
     Thread-distributed loops (``for ci = tx; ci < E; ci += TX``) have a
     *clamped* per-thread trip; the expectation over threads equals
     ``E / step``, which is what evaluating the lower bound at thread
-    index 0 yields — so thread variables are zeroed in the lower bound.
+    index 0 yields — so thread variables are zeroed in the lower bound
+    of the trip (not in the mean value).
     """
-    lo_env = env
-    if thread_vars and any(loop.lower.depends_on(v) for v in thread_vars):
-        lo_env = dict(env)
-        for v in thread_vars:
-            lo_env[v] = 0.0
-    lo = _avg_bound(loop.lower, lo_env)
+    lower = loop.lower
+    lo = lo_trip = _avg_bound(lower, env)
+    for v in thread_vars:
+        if lower.depends_on(v):
+            lo_env = dict(env)
+            for t in thread_vars:
+                lo_env[t] = 0.0
+            lo_trip = _avg_bound(lower, lo_env)
+            break
     hi = _avg_bound(loop.upper, env)
-    return max(0.0, (hi - lo) / loop.step)
+    trip = max(0.0, (hi - lo_trip) / loop.step)
+    return trip, lo + (max(1.0, trip) - 1) / 2 * loop.step
 
 
 def _is_serial_guard(cond) -> Optional[bool]:
@@ -151,13 +161,20 @@ def _is_serial_guard(cond) -> Optional[bool]:
     return pins >= 2 if pins else None
 
 
-def _fma_insts(stmt: Assign) -> float:
-    """Instruction estimate for one statement execution.
+def _flag_value(flags: Mapping[str, bool], cond) -> Optional[bool]:
+    """A runtime flag guard's setting (flags default on); ``None`` for any
+    other predicate."""
+    if isinstance(cond, Flag):
+        return bool(flags.get(cond.name, True))
+    return None
+
+
+def _fma_insts(stmt: Assign, flops: int) -> float:
+    """Instruction estimate for one execution of ``stmt`` (``flops`` FLOPs).
 
     ``x += a*b`` fuses into one MAD; other arithmetic counts one
     instruction per operator; division costs extra on all three chips.
     """
-    flops = stmt.flop_count()
     insts = float(flops)
     if stmt.op in ("+=", "-=") and isinstance(stmt.expr, BinOp) and stmt.expr.op == "*":
         insts = max(1.0, flops - 1)  # multiply-accumulate fusion
@@ -166,40 +183,36 @@ def _fma_insts(stmt: Assign) -> float:
     return insts
 
 
-class _StrideContext:
-    """Resolves element strides w.r.t. threadIdx.x inside a phase."""
+def _stride(
+    arr: Array, indices: Tuple[AffineExpr, ...], tx_var: Optional[str], tx_of: Mapping[str, int]
+) -> int:
+    """Element stride of one access between consecutive threads (``tx_var``;
+    ``None`` in serial code, where every thread is the same one).
 
-    def __init__(self, comp: Computation, tx_var: Optional[str], loops: List[Loop]):
-        self.comp = comp
-        self.tx_var = tx_var
-        # Loop vars whose *origin* depends on tx (e.g. copy loops with
-        # lower bound tx): substitute their lower bound for stride purposes.
-        self.subst: Dict[str, AffineExpr] = {}
-        for lp in loops:
-            lower = lp.lower
-            if isinstance(lower, AffineExpr) and tx_var and lower.depends_on(tx_var):
-                self.subst[lp.var] = lower
-
-    def _tx_coeff(self, expr: AffineExpr) -> int:
-        if not self.tx_var:
-            return 0
-        resolved = expr.substitute(self.subst) if self.subst else expr
-        return resolved.coeff(self.tx_var)
-
-    def stride(self, array_name: str, indices: Tuple[AffineExpr, ...]) -> int:
-        arr = self.comp.arrays[array_name]
-        if arr.rank == 1:
-            return self._tx_coeff(indices[0])
-        c0 = self._tx_coeff(indices[0])
-        c1 = self._tx_coeff(indices[1])
-        if arr.storage == "shared":
-            # Row layout: pitch is the (padded) minor dimension.
-            pitch = int(arr.dims[1].constant_value)
-            return c0 * pitch + c1
-        if arr.layout == "col":
-            # Column-major: first subscript is stride-1, second jumps rows.
-            return c0 + c1 * LARGE_STRIDE
-        return c1 + c0 * LARGE_STRIDE
+    ``tx_of`` holds the ``tx_var`` coefficient of the lower bound of each
+    enclosing loop whose origin moves with the thread index."""
+    if tx_var is None:
+        return 0
+    coeffs = []
+    for expr in indices[:1 if arr.rank == 1 else 2]:
+        # the tx coefficient once each loop variable in tx_of is
+        # replaced by its lower bound
+        coeff = expr.terms.get(tx_var, 0)
+        for name, c in expr.terms.items():
+            if name in tx_of:
+                coeff += c * tx_of[name]
+        coeffs.append(coeff)
+    if arr.rank == 1:
+        return coeffs[0]
+    c0, c1 = coeffs
+    if arr.storage == "shared":
+        # Row layout: pitch is the (padded) minor dimension.
+        pitch = int(arr.dims[1].constant_value)
+        return c0 * pitch + c1
+    if arr.layout == "col":
+        # Column-major: first subscript is stride-1, second jumps rows.
+        return c0 + c1 * LARGE_STRIDE
+    return c1 + c0 * LARGE_STRIDE
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +307,19 @@ class _StageAnalyzer:
     def _walk_block(self, body: List[Node], mult: float) -> None:
         for node in body:
             if isinstance(node, Loop):
-                if node.mapped_to in ("block.x", "block.y", "block.z"):
-                    trip = _avg_trip(node, self.env)
-                    self.grid_blocks *= max(1.0, trip)
-                    self.env[node.var] = (
-                        _avg_bound(node.lower, self.env)
-                        + (max(1.0, trip) - 1) / 2 * node.step
-                    )
-                    self._walk_block(node.body, mult)
-                elif node.mapped_to == "thread.x":
+                if node.mapped_to == "thread.x":
                     self._walk_phase(node, mult)
+                    continue
+                trip, self.env[node.var] = _loop_average(node, self.env)
+                if node.mapped_to in ("block.x", "block.y", "block.z"):
+                    self.grid_blocks *= max(1.0, trip)
+                    self._walk_block(node.body, mult)
                 else:
-                    trip = _avg_trip(node, self.env)
-                    self.env[node.var] = (
-                        _avg_bound(node.lower, self.env)
-                        + (max(1.0, trip) - 1) / 2 * node.step
-                    )
                     self._walk_block(node.body, mult * max(0.0, trip))
             elif isinstance(node, Barrier):
                 self.barriers += mult
             elif isinstance(node, Guard):
-                flag_on = self._flag_value(node.cond)
+                flag_on = _flag_value(self.comp.flags, node.cond)
                 if flag_on is True:
                     self._walk_block(node.body, mult)
                 elif flag_on is False:
@@ -322,167 +327,137 @@ class _StageAnalyzer:
                 else:
                     self._walk_block(node.body, mult * 0.5)
                     self._walk_block(node.else_body, mult * 0.5)
-            elif isinstance(node, Assign):
-                # Block-level statement outside any phase: negligible.
-                continue
-
-    def _flag_value(self, cond) -> Optional[bool]:
-        if isinstance(cond, Flag):
-            return bool(self.comp.flags.get(cond.name, True))
-        return None
+            # a block-level statement outside any phase is negligible
 
     # -- phase level -----------------------------------------------------
     def _walk_phase(self, phase: Loop, mult: float) -> None:
-        from ..transforms.util import phase_kind
-
-        tx_loop = phase
-        ty_loop = phase.body[0] if phase.body and isinstance(phase.body[0], Loop) else None
-        tx_n = int(_avg_trip(tx_loop, self.env))
-        ty_n = int(_avg_trip(ty_loop, self.env)) if ty_loop is not None and ty_loop.mapped_to == "thread.y" else 1
+        first = phase.body[0] if phase.body else None
+        ty_loop = first if isinstance(first, Loop) and first.mapped_to == "thread.y" else None
+        tx_n = int(_loop_average(phase, self.env)[0])
+        ty_n = int(_loop_average(ty_loop, self.env)[0]) if ty_loop is not None else 1
         threads = max(1, tx_n * ty_n)
         self.threads_per_block = max(self.threads_per_block, threads)
 
         model = PhaseModel(kind=phase_kind(phase), serial=False, threads=threads)
-        env = dict(self.env)
-        env[tx_loop.var] = (tx_n - 1) / 2
-        inner_body = ty_loop.body if ty_loop is not None and ty_loop.mapped_to == "thread.y" else phase.body
-        if ty_loop is not None and ty_loop.mapped_to == "thread.y":
+        env = self.env
+        env[phase.var] = (tx_n - 1) / 2
+        thread_vars: Tuple[str, ...] = (phase.var,)
+        if ty_loop is not None:
             env[ty_loop.var] = (ty_n - 1) / 2
-
-        tvars = (tx_loop.var,) + (
-            (ty_loop.var,) if ty_loop is not None and ty_loop.mapped_to == "thread.y" else ()
-        )
-        self._walk_thread(
-            inner_body,
-            env,
-            per_thread_mult=mult,
-            loops=[],
-            model=model,
-            serial=False,
-            tx_var=tx_loop.var,
-            threads=threads,
-            thread_vars=tvars,
-        )
+            thread_vars += (ty_loop.var,)
+        walk = _PhaseWalk(self.comp, model, phase.var, threads, thread_vars)
+        walk.body(ty_loop.body if ty_loop is not None else phase.body, env, mult, (), {}, False)
         self.phases.append(model)
 
-    def _walk_thread(
-        self,
-        body: List[Node],
-        env: Dict[str, float],
-        per_thread_mult: float,
-        loops: List[Loop],
-        model: PhaseModel,
-        serial: bool,
-        tx_var: str,
-        threads: int,
-        thread_vars: Tuple[str, ...] = (),
+
+class _PhaseWalk:
+    """The per-thread walk of one phase.
+
+    Each loop's average trip and mean variable value are evaluated once,
+    on entry, and handed down with the loop (``loops``: the enclosing
+    per-thread loops with their trips, clamped to at least 1), as is the
+    ``threadIdx.x`` coefficient of every enclosing loop whose lower bound
+    moves with the thread index (``tx_of``; e.g. a copy loop starting at
+    ``tx``) for the stride model.  Valid IR never shadows a loop variable
+    nor reads one outside its loop, so the stage's one ``env`` serves
+    every phase (each loop sets its variable's mean on entry) and a
+    loop's bounds read the same values at the loop and at every
+    statement inside it.
+    """
+
+    def __init__(
+        self, comp: Computation, model: PhaseModel, tx_var: str, threads: int,
+        thread_vars: Tuple[str, ...],
+    ):
+        self.arrays = comp.arrays
+        self.flags = comp.flags
+        self.model = model
+        self.tx_var = tx_var
+        self.threads = threads
+        self.thread_vars = thread_vars
+
+    def body(
+        self, body: List[Node], env: Dict[str, float], mult: float,
+        loops: Tuple[Tuple[Loop, float], ...], tx_of: Dict[str, int], serial: bool,
     ) -> None:
         for node in body:
             if isinstance(node, Loop):
-                trip = _avg_trip(node, env, thread_vars)
-                env2 = dict(env)
-                env2[node.var] = (
-                    _avg_bound(node.lower, env) + (max(1.0, trip) - 1) / 2 * node.step
-                )
+                trip, env[node.var] = _loop_average(node, env, self.thread_vars)
                 # Loop bookkeeping instructions (amortised by unrolling).
                 overhead = 2.0 * trip / max(1, node.unroll)
-                weight = per_thread_mult * (1 if serial else threads)
-                model.insts_per_block += overhead * weight
-                self._walk_thread(
-                    node.body,
-                    env2,
-                    per_thread_mult * trip,
-                    loops + [node],
-                    model,
-                    serial,
-                    tx_var,
-                    threads,
-                    thread_vars,
+                self.model.insts_per_block += overhead * (mult * (1 if serial else self.threads))
+                inner_tx = tx_of
+                lower = node.lower
+                if isinstance(lower, AffineExpr) and lower.depends_on(self.tx_var):
+                    inner_tx = dict(tx_of)
+                    inner_tx[node.var] = lower.coeff(self.tx_var)
+                self.body(
+                    node.body, env, mult * trip, loops + ((node, max(1.0, trip)),),
+                    inner_tx, serial,
                 )
             elif isinstance(node, Guard):
                 pinned = _is_serial_guard(node.cond)
-                flag_on = self._flag_value(node.cond)
+                flag_on = _flag_value(self.flags, node.cond)
                 if pinned:
-                    model.serial = True
-                    self._walk_thread(
-                        node.body, env, per_thread_mult, loops, model, True, tx_var, threads, thread_vars
-                    )
+                    self.model.serial = True
+                    self.body(node.body, env, mult, loops, tx_of, True)
                 elif flag_on is True:
-                    self._walk_thread(node.body, env, per_thread_mult, loops, model, serial, tx_var, threads, thread_vars)
+                    self.body(node.body, env, mult, loops, tx_of, serial)
                 elif flag_on is False:
-                    self._walk_thread(node.else_body, env, per_thread_mult, loops, model, serial, tx_var, threads, thread_vars)
+                    self.body(node.else_body, env, mult, loops, tx_of, serial)
                 else:
-                    self._walk_thread(node.body, env, per_thread_mult * 0.5, loops, model, serial, tx_var, threads, thread_vars)
-                    self._walk_thread(node.else_body, env, per_thread_mult * 0.5, loops, model, serial, tx_var, threads, thread_vars)
+                    self.body(node.body, env, mult * 0.5, loops, tx_of, serial)
+                    self.body(node.else_body, env, mult * 0.5, loops, tx_of, serial)
             elif isinstance(node, Assign):
-                self._account_stmt(
-                    node, env, per_thread_mult, loops, model, serial, tx_var, threads, thread_vars
-                )
-            elif isinstance(node, Barrier):
-                continue
+                self.statement(node, mult, loops, tx_of, serial)
 
-    def _account_stmt(
-        self,
-        stmt: Assign,
-        env: Dict[str, float],
-        per_thread_mult: float,
-        loops: List[Loop],
-        model: PhaseModel,
-        serial: bool,
-        tx_var: str,
-        threads: int,
-        thread_vars: Tuple[str, ...] = (),
+    def statement(
+        self, stmt: Assign, mult: float, loops: Tuple[Tuple[Loop, float], ...],
+        tx_of: Dict[str, int], serial: bool,
     ) -> None:
-        thread_factor = 1 if serial else threads
-        execs = per_thread_mult * thread_factor
-        model.flops_per_block += stmt.flop_count() * execs
-        model.insts_per_block += _fma_insts(stmt) * execs
-
-        strides = _StrideContext(self.comp, None if serial else tx_var, loops)
-        loop_vars = {lp.var: lp for lp in loops}
-
-        def account_ref(ref, kind: str) -> None:
-            arr = self.comp.arrays.get(ref.array)
+        model = self.model
+        thread_factor = 1 if serial else self.threads
+        execs = mult * thread_factor
+        flops = stmt.flop_count()
+        model.flops_per_block += flops * execs
+        model.insts_per_block += _fma_insts(stmt, flops) * execs
+        tx_var = None if serial else self.tx_var
+        accesses = [(ref, "load") for ref in stmt.expr.array_refs()]
+        if stmt.op in ("+=", "-="):
+            accesses.append((stmt.target, "load"))
+        accesses.append((stmt.target, "store"))
+        for ref, kind in accesses:
+            arr = self.arrays.get(ref.array)
             if arr is None or arr.storage == "register":
-                return
+                continue
             # Distinct-access count: only loops the subscripts depend on
             # multiply (invariant loads are register-cached).
-            dep_mult = per_thread_mult
-            for name, lp in loop_vars.items():
-                if not any(idx.depends_on(name) for idx in ref.indices):
-                    trip = max(1.0, _avg_trip(lp, env, thread_vars))
+            used = ref.index_vars()
+            dep_mult = mult
+            for loop, trip in loops:
+                if loop.var not in used:
                     dep_mult /= trip
             count = dep_mult * thread_factor
-            stride = strides.stride(ref.array, ref.indices)
+            stride = _stride(arr, ref.indices, tx_var, tx_of)
             # Scattered-across-threads accesses where each thread walks
             # consecutive addresses (the minor subscript advances with an
             # inner unit-step loop) amortise through a cache when there is
             # one (Fermi L1).
             seq_walk = False
             if abs(stride) >= LARGE_STRIDE and arr.storage == "global":
-                minor = 0 if arr.layout == "col" else arr.rank - 1
-                for lname, lp in loop_vars.items():
-                    if (
-                        abs(ref.indices[minor].coeff(lname)) * lp.step == 1
-                        and lp.mapped_to is None
-                    ):
-                        seq_walk = True
-            model.accesses.append(
-                AccessModel(
-                    ref.array, arr.storage, kind, count, stride, serial, seq_walk
+                minor = ref.indices[0 if arr.layout == "col" else arr.rank - 1]
+                seq_walk = any(
+                    abs(minor.coeff(loop.var)) * loop.step == 1 and loop.mapped_to is None
+                    for loop, _trip in loops
                 )
+            model.accesses.append(
+                AccessModel(ref.array, arr.storage, kind, count, stride, serial, seq_walk)
             )
             # Loads/stores occupy instruction slots — but a shared-memory
             # operand folds into the consuming MAD on G80/GT200 and
             # dual-issues with it on Fermi (Volkov's 60%-of-peak recipe),
             # so it costs only half a slot.
             model.insts_per_block += count * (0.5 if arr.storage == "shared" else 1.0)
-
-        for ref in stmt.expr.array_refs():
-            account_ref(ref, "load")
-        if stmt.op in ("+=", "-="):
-            account_ref(stmt.target, "load")
-        account_ref(stmt.target, "store")
 
 
 def analyze_stage(

@@ -20,6 +20,7 @@ compute-capability memory rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 __all__ = ["GPUArch", "GEFORCE_9800", "GTX_285", "FERMI_C2050", "PLATFORMS"]
@@ -65,11 +66,12 @@ class GPUArch:
             * self.flops_per_sp_per_cycle
         )
 
-    @property
+    # The timing and counter models read these two per memory access.
+    @cached_property
     def is_fermi(self) -> bool:
         return self.compute_capability >= (2, 0)
 
-    @property
+    @cached_property
     def coalesce_granularity(self) -> int:
         """Threads whose accesses are grouped into transactions."""
         return self.warp_size if self.is_fermi else self.warp_size // 2

@@ -9,8 +9,9 @@ none, so :class:`SimulatedGPU` plays that role (see DESIGN.md §2):
   assert correctness at small sizes and to serve requests;
 * **analytic profiling** (:meth:`~SimulatedGPU.profile`; any size, e.g.
   the paper's N=4096) runs the static kernel analysis and the
-  coalescing/occupancy/roofline models to produce execution time, GFLOPS
-  and ``cuda_profile``-style counters.
+  coalescing/occupancy/roofline models to produce execution time and
+  GFLOPS; the ``cuda_profile``-style counters of Tables I–III are derived
+  from the same models when :attr:`RunResult.counters` is first read.
 
 :meth:`~SimulatedGPU.run` is the two together, for tuning, baselines
 and reports.
@@ -19,6 +20,7 @@ and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -41,7 +43,6 @@ class RunResult:
     arch: GPUArch
     sizes: Dict[str, int]
     timing: LaunchTiming
-    counters: ProfileCounters
     models: List[KernelModel]
     outputs: Optional[Dict[str, np.ndarray]] = None
     nominal_flops: float = 0.0
@@ -59,6 +60,12 @@ class RunResult:
     def feasible(self) -> bool:
         return self.timing.feasible
 
+    @cached_property
+    def counters(self) -> ProfileCounters:
+        """Profile counters of the launch, derived from ``models`` on first
+        read (only the Tables I–III reports read them; a search does not)."""
+        return count_profile(self.arch, self.models)
+
 
 class SimulatedGPU:
     """A GPU platform that executes and profiles transformed computations."""
@@ -73,15 +80,13 @@ class SimulatedGPU:
         sizes: Mapping[str, int],
         nominal_flops: float = 0.0,
     ) -> RunResult:
-        """Analytic-only run (no data): time, GFLOPS, profile counters."""
+        """Analytic-only run (no data): time and GFLOPS; the profile counters
+        follow on first read of :attr:`RunResult.counters`."""
         models = analyze_computation(comp, sizes)
-        timing = estimate_time(self.arch, models)
-        counters = count_profile(self.arch, models)
         return RunResult(
             arch=self.arch,
             sizes=dict(sizes),
-            timing=timing,
-            counters=counters,
+            timing=estimate_time(self.arch, models),
             models=models,
             nominal_flops=nominal_flops,
         )

@@ -16,6 +16,7 @@ problem-size symbols, but nothing in this module depends on that.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Union
 
 __all__ = [
@@ -39,7 +40,7 @@ class AffineExpr:
     ``__hash__`` structural.
     """
 
-    __slots__ = ("terms", "offset")
+    __slots__ = ("terms", "offset", "_hash")
 
     def __init__(self, terms: Mapping[str, int] | None = None, offset: int = 0):
         clean: Dict[str, int] = {}
@@ -76,11 +77,11 @@ class AffineExpr:
 
     @staticmethod
     def constant(value: int) -> "AffineExpr":
-        return AffineExpr({}, value)
+        return _interned_constant(value)
 
     @staticmethod
     def variable(name: str) -> "AffineExpr":
-        return AffineExpr({name: 1}, 0)
+        return _interned_variable(name)
 
     @staticmethod
     def coerce(value: "AffineLike") -> "AffineExpr":
@@ -133,13 +134,16 @@ class AffineExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "AffineExpr":
-        return AffineExpr({n: -c for n, c in self.terms.items()}, -self.offset)
+        return AffineExpr._make({n: -c for n, c in self.terms.items()}, -self.offset)
 
     def __sub__(self, other: "AffineLike") -> "AffineExpr":
-        return self + (-AffineExpr.coerce(other))
+        other = AffineExpr.coerce(other)
+        terms = dict(self.terms)
+        _accumulate(terms, other.terms, -1)
+        return AffineExpr._make(terms, self.offset - other.offset)
 
     def __rsub__(self, other: "AffineLike") -> "AffineExpr":
-        return AffineExpr.coerce(other) + (-self)
+        return AffineExpr.coerce(other) - self
 
     def __mul__(self, scalar: int) -> "AffineExpr":
         if not isinstance(scalar, int):
@@ -154,7 +158,9 @@ class AffineExpr:
         offset = self.offset
         for name, coeff in self.terms.items():
             if name in mapping:
-                value = AffineExpr.coerce(mapping[name])
+                value = mapping[name]
+                if not isinstance(value, AffineExpr):
+                    value = AffineExpr.coerce(value)
                 _accumulate(terms, value.terms, coeff)
                 offset += value.offset * coeff
             else:
@@ -179,7 +185,12 @@ class AffineExpr:
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.terms.items()), self.offset))
+        try:
+            return self._hash
+        except AttributeError:  # first hash of this expression: remember it
+            value = hash((frozenset(self.terms.items()), self.offset))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         return f"AffineExpr({self})"
@@ -203,6 +214,18 @@ class AffineExpr:
 
 
 AffineLike = Union[AffineExpr, int, str]
+
+
+# Expressions are immutable, so the constants and bare variables that
+# transforms and the nest parser synthesise over and over are shared.
+@lru_cache(maxsize=4096, typed=True)
+def _interned_constant(value: int) -> AffineExpr:
+    return AffineExpr({}, value)
+
+
+@lru_cache(maxsize=4096)
+def _interned_variable(name: str) -> AffineExpr:
+    return AffineExpr({name: 1}, 0)
 
 
 def _accumulate(terms: Dict[str, int], more: Mapping[str, int], scale: int) -> None:
@@ -311,9 +334,8 @@ def simplify_bound(bound: Bound) -> Bound:
 
 # -- convenience constructors ---------------------------------------------
 
-def aff(value: AffineLike) -> AffineExpr:
-    """Coerce an int/str/AffineExpr into an :class:`AffineExpr`."""
-    return AffineExpr.coerce(value)
+#: Coerce an int/str/AffineExpr into an :class:`AffineExpr`.
+aff = AffineExpr.coerce
 
 
 def const(value: int) -> AffineExpr:

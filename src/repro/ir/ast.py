@@ -60,6 +60,7 @@ __all__ = [
 
 GRID_DIMS = ("block.x", "block.y", "block.z")
 THREAD_DIMS = ("thread.x", "thread.y")
+_BOUNDS = (AffineExpr, MinExpr, MaxExpr)
 
 _label_counter = itertools.count()
 
@@ -107,40 +108,53 @@ class _Immutable:
 class Expr(_Immutable):
     """Base class for statement right-hand-side expressions."""
 
-    __slots__ = ()
+    #: ``(array refs, flop count, uses division)`` of the expression,
+    #: found by one walk on first use: clones share expressions, so every
+    #: state of a search (and every profile of it) reads the one record
+    __slots__ = ("_facts",)
 
     def children(self) -> Tuple["Expr", ...]:
         return ()
 
     def map_refs(self, fn: Callable[["ArrayRef"], "ArrayRef"]) -> "Expr":
-        """This expression with every :class:`ArrayRef` replaced by ``fn`` of it."""
+        """This expression with every :class:`ArrayRef` replaced by ``fn`` of
+        it; the expression itself when ``fn`` returns every ref unchanged."""
         return self
 
-    def array_refs(self) -> List["ArrayRef"]:
-        out: List[ArrayRef] = []
+    def _summary(self) -> Tuple[Tuple["ArrayRef", ...], int, bool]:
+        try:
+            return self._facts
+        except AttributeError:
+            pass
+        refs: List[ArrayRef] = []
+        flops = 0
+        division = False
         stack: List[Expr] = [self]
         while stack:
             node = stack.pop()
             if isinstance(node, ArrayRef):
-                out.append(node)
+                refs.append(node)
+            elif isinstance(node, (BinOp, Neg, Recip)):
+                flops += 1
+                division = division or isinstance(node, Recip) or (
+                    isinstance(node, BinOp) and node.op == "/"
+                )
             stack.extend(node.children())
-        return out
+        facts = (tuple(refs), flops, division)
+        _set(self, "_facts", facts)
+        return facts
+
+    def array_refs(self) -> List["ArrayRef"]:
+        return list(self._summary()[0])
 
     def uses_division(self) -> bool:
         """Whether evaluating the expression divides (a ``/`` or a
         :class:`Recip` anywhere in it)."""
-        stack: List[Expr] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Recip) or (isinstance(node, BinOp) and node.op == "/"):
-                return True
-            stack.extend(node.children())
-        return False
+        return self._summary()[2]
 
     def flop_count(self) -> int:
         """Number of floating-point operations in one evaluation."""
-        count = 1 if isinstance(self, (BinOp, Neg, Recip)) else 0
-        return count + sum(c.flop_count() for c in self.children())
+        return self._summary()[1]
 
 
 class Const(Expr):
@@ -186,13 +200,14 @@ class ArrayRef(Expr):
     swapped subscripts.  It does not participate in equality.
     """
 
-    __slots__ = ("array", "indices", "region")
+    __slots__ = ("array", "indices", "region", "_vars")
 
     def __init__(self, array: str, indices: Sequence[AffineLike], region: Optional[str] = None):
         if region not in (None, "real", "shadow", "diag"):
             raise ValueError(f"unknown access region {region!r}")
         _set(self, "array", array)
-        _set(self, "indices", tuple(aff(i) for i in indices))
+        indices = [i if isinstance(i, AffineExpr) else aff(i) for i in indices]
+        _set(self, "indices", tuple(indices))
         _set(self, "region", region)
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "ArrayRef":
@@ -202,6 +217,18 @@ class ArrayRef(Expr):
 
     def map_refs(self, fn: Callable[["ArrayRef"], "ArrayRef"]) -> "ArrayRef":
         return fn(self)
+
+    def index_vars(self) -> frozenset:
+        """The variables the subscripts read (found once per reference)."""
+        try:
+            return self._vars
+        except AttributeError:
+            names = frozenset(name for idx in self.indices for name in idx.terms)
+            _set(self, "_vars", names)
+            return names
+
+    def __reduce__(self):
+        return (ArrayRef, (self.array, self.indices, self.region))
 
     def __eq__(self, other):
         return (
@@ -230,7 +257,10 @@ class BinOp(Expr):
         _set(self, "right", right)
 
     def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "BinOp":
-        return BinOp(self.op, self.left.map_refs(fn), self.right.map_refs(fn))
+        left, right = self.left.map_refs(fn), self.right.map_refs(fn)
+        if left is self.left and right is self.right:
+            return self
+        return BinOp(self.op, left, right)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
@@ -257,7 +287,8 @@ class Neg(Expr):
         _set(self, "operand", operand)
 
     def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Neg":
-        return Neg(self.operand.map_refs(fn))
+        operand = self.operand.map_refs(fn)
+        return self if operand is self.operand else Neg(operand)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -281,7 +312,8 @@ class Recip(Expr):
         _set(self, "operand", operand)
 
     def map_refs(self, fn: Callable[[ArrayRef], ArrayRef]) -> "Recip":
-        return Recip(self.operand.map_refs(fn))
+        operand = self.operand.map_refs(fn)
+        return self if operand is self.operand else Recip(operand)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -387,7 +419,9 @@ class Assign:
         self.label = label
 
     def clone(self) -> "Assign":
-        return Assign(self.target, self.expr, self.op, self.label)
+        stmt = object.__new__(Assign)
+        stmt.target, stmt.expr, stmt.op, stmt.label = self.target, self.expr, self.op, self.label
+        return stmt
 
     def reads(self) -> List[ArrayRef]:
         refs = self.expr.array_refs()
@@ -443,8 +477,8 @@ class Loop:
         if step < 1:
             raise ValueError("step must be >= 1")
         self.var = var
-        self.lower = lower if isinstance(lower, (MinExpr, MaxExpr)) else aff(lower)
-        self.upper = upper if isinstance(upper, (MinExpr, MaxExpr)) else aff(upper)
+        self.lower = lower if isinstance(lower, _BOUNDS) else aff(lower)
+        self.upper = upper if isinstance(upper, _BOUNDS) else aff(upper)
         self.step = step
         self.body: List[Node] = list(body)
         self.label = label or fresh_label()
@@ -463,7 +497,11 @@ class Loop:
         return loop
 
     def clone(self) -> "Loop":
-        return self._copy(self.lower, self.upper, [child.clone() for child in self.body])
+        loop = object.__new__(Loop)
+        loop.var, loop.lower, loop.upper, loop.step = self.var, self.lower, self.upper, self.step
+        loop.body = [child.clone() for child in self.body]
+        loop.label, loop.mapped_to, loop.unroll = self.label, self.mapped_to, self.unroll
+        return loop
 
     def substitute(self, mapping: Mapping[str, AffineLike]) -> "Loop":
         """A copy with ``mapping`` applied, except where the body rebinds ``var``."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set
 
+from .affine import AffineExpr
 from .ast import (
     Assign,
     Barrier,
@@ -42,6 +43,11 @@ def validate(comp: Computation) -> None:
         )
 
 
+def _names(expr):
+    """The variables an affine expression or a min/max bound reads."""
+    return expr.terms if isinstance(expr, AffineExpr) else expr.free_vars()
+
+
 def _check_body(
     comp: Computation,
     body: Sequence[Node],
@@ -50,14 +56,17 @@ def _check_body(
     mapped_seen: List[str],
     stage_name: str,
 ) -> None:
+    """Check ``body`` under the variables ``bound`` and the grid/thread
+    dimensions ``mapped_seen`` of its enclosing loops; each loop adds its
+    own to both while its body is checked and removes them after."""
     for node in body:
         if isinstance(node, Loop):
             _check_loop(comp, node, bound, seen_labels, mapped_seen, stage_name)
         elif isinstance(node, Assign):
             _check_stmt(comp, node, bound, stage_name)
         elif isinstance(node, Guard):
-            _check_body(comp, node.body, bound, seen_labels, list(mapped_seen), stage_name)
-            _check_body(comp, node.else_body, bound, seen_labels, list(mapped_seen), stage_name)
+            _check_body(comp, node.body, bound, seen_labels, mapped_seen, stage_name)
+            _check_body(comp, node.else_body, bound, seen_labels, mapped_seen, stage_name)
         elif isinstance(node, Barrier):
             continue
         else:
@@ -76,11 +85,11 @@ def _check_loop(
         raise ValidationError(f"[{stage_name}] duplicate loop label {loop.label!r}")
     seen_labels.add(loop.label)
     for bnd, which in ((loop.lower, "lower"), (loop.upper, "upper")):
-        unbound = bnd.free_vars() - bound
-        if unbound:
+        names = _names(bnd)
+        if not bound.issuperset(names):
             raise ValidationError(
                 f"[{stage_name}] loop {loop.label}: {which} bound {bnd} uses "
-                f"unbound variable(s) {sorted(unbound)}"
+                f"unbound variable(s) {sorted(set(names) - bound)}"
             )
     if loop.var in bound:
         raise ValidationError(
@@ -91,17 +100,18 @@ def _check_loop(
             raise ValidationError(
                 f"[{stage_name}] dimension {loop.mapped_to} mapped twice"
             )
-        if loop.mapped_to in THREAD_DIMS:
-            pass  # thread loops may appear under grid loops only
-        mapped_seen = mapped_seen + [loop.mapped_to]
-        if loop.mapped_to in GRID_DIMS and any(d in THREAD_DIMS for d in mapped_seen[:-1]):
+        # thread loops may appear under grid loops only
+        if loop.mapped_to in GRID_DIMS and any(d in THREAD_DIMS for d in mapped_seen):
             raise ValidationError(
                 f"[{stage_name}] grid-mapped loop {loop.label} nested inside a "
                 "thread-mapped loop"
             )
-    _check_body(
-        comp, loop.body, bound | {loop.var}, seen_labels, list(mapped_seen), stage_name
-    )
+        mapped_seen.append(loop.mapped_to)
+    bound.add(loop.var)
+    _check_body(comp, loop.body, bound, seen_labels, mapped_seen, stage_name)
+    bound.discard(loop.var)
+    if loop.mapped_to:
+        mapped_seen.pop()
 
 
 def _check_stmt(
@@ -119,9 +129,8 @@ def _check_stmt(
                 f"referenced with {len(ref_.indices)} subscripts"
             )
         for idx in ref_.indices:
-            unbound = idx.free_vars() - bound
-            if unbound:
+            if not bound.issuperset(idx.terms):
                 raise ValidationError(
                     f"[{stage_name}] subscript {idx} of {ref_.array} uses "
-                    f"unbound variable(s) {sorted(unbound)}"
+                    f"unbound variable(s) {sorted(set(idx.terms) - bound)}"
                 )

@@ -14,18 +14,23 @@ where ``base`` is affine in the remaining (block-level) variables and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from ..ir.affine import AffineExpr, Bound, MaxExpr, MinExpr
 from ..ir.ast import Loop
 from .base import TransformFailure
 
-__all__ = ["VarRange", "collect_var_ranges", "split_base_span", "max_over", "min_over"]
+__all__ = [
+    "VarRange",
+    "collect_var_ranges",
+    "const_difference",
+    "split_base_span",
+    "max_over",
+    "min_over",
+]
 
 
-@dataclass(frozen=True)
-class VarRange:
+class VarRange(NamedTuple):
     """A loop variable's range: ``value = lower + delta*step, delta ∈ [0, trip)``."""
 
     lower: AffineExpr  # may reference block-level variables
@@ -38,22 +43,28 @@ class VarRange:
         return (self.trip - 1) * self.step
 
 
+def const_difference(upper: AffineExpr, lower: AffineExpr) -> Optional[int]:
+    """``upper - lower`` when it is a compile-time constant, else ``None``
+    (the two expressions then have equal variable terms)."""
+    return upper.offset - lower.offset if upper.terms == lower.terms else None
+
+
 def _const_trip(loop: Loop) -> Optional[int]:
     """Trip count when (upper - lower) is constant (bounds may be affine)."""
     if isinstance(loop.lower, (MinExpr, MaxExpr)) or isinstance(
         loop.upper, (MinExpr, MaxExpr)
     ):
         return None
-    diff = loop.upper - loop.lower
-    if not diff.is_constant:
+    diff = const_difference(loop.upper, loop.lower)
+    if diff is None:
         return None
-    return max(0, -(-diff.constant_value // loop.step))
+    return max(0, -(-diff // loop.step))
 
 
-def _bound_candidates(bound: Bound) -> List[AffineExpr]:
+def _bound_candidates(bound: Bound) -> Sequence[AffineExpr]:
     if isinstance(bound, (MinExpr, MaxExpr)):
-        return list(bound.operands)
-    return [bound]
+        return bound.operands
+    return (bound,)
 
 
 def max_trip(loop: Loop) -> Optional[int]:
@@ -66,9 +77,9 @@ def max_trip(loop: Loop) -> Optional[int]:
     best: Optional[int] = None
     for lo in _bound_candidates(loop.lower):
         for up in _bound_candidates(loop.upper):
-            diff = up - lo
-            if diff.is_constant:
-                trip = max(0, -(-diff.constant_value // loop.step))
+            diff = const_difference(up, lo)
+            if diff is not None:
+                trip = max(0, -(-diff // loop.step))
                 best = trip if best is None else min(best, trip)
     return best
 
@@ -155,7 +166,7 @@ def split_base_span(
             span += -travel
     # base may still contain local vars transitively through lower bounds —
     # recurse until fixed point (e.g. inner k's lower bound is `kk`).
-    if set(base.terms) & set(local):
+    if any(name in local for name in base.terms):
         inner_base, inner_span = split_base_span(base, local)
         return inner_base, span + inner_span
     return base, span

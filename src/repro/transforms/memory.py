@@ -33,7 +33,7 @@ from ..ir.ast import (
     Node,
     fresh_label,
 )
-from ..ir.visitors import iter_loops, iter_statements, locate, map_statements
+from ..ir.visitors import iter_statements, map_statements, walk
 from .base import (
     POOL_TRADITIONAL,
     Transform,
@@ -55,17 +55,20 @@ ALLOC_MODES = ("NoChange", "Transpose", "Symmetry")
 _Tile = Tuple[Tuple[AffineExpr, ...], int, int]
 
 
-def _read_write_refs(phase: Loop, array: str) -> Tuple[List[ArrayRef], List[ArrayRef]]:
-    """Refs to ``array`` in a phase, split into (pure reads, written refs)."""
+def _phase_facts(phase: Loop, array: str) -> Tuple[List[ArrayRef], List[ArrayRef], List[Loop]]:
+    """One walk over a phase: its pure reads of ``array``, its written refs
+    of it, and all its loops (preorder)."""
     reads: List[ArrayRef] = []
     writes: List[ArrayRef] = []
-    for stmt in iter_statements([phase]):
-        for r in stmt.expr.array_refs():
-            if r.array == array:
-                reads.append(r)
-        if stmt.target.array == array:
-            writes.append(stmt.target)
-    return reads, writes
+    loops: List[Loop] = []
+    for node in walk([phase]):
+        if isinstance(node, Loop):
+            loops.append(node)
+        elif isinstance(node, Assign):
+            reads += [r for r in node.expr.array_refs() if r.array == array]
+            if node.target.array == array:
+                writes.append(node.target)
+    return reads, writes, loops
 
 
 def _tile(ref: ArrayRef, local: Dict[str, VarRange]) -> _Tile:
@@ -82,17 +85,17 @@ def _tile(ref: ArrayRef, local: Dict[str, VarRange]) -> _Tile:
     return tuple(b for b, _s in parts), parts[-2][1], parts[-1][1]
 
 
-def _tile_loop(ks: KernelStructure, phase: Loop, base_vars: set) -> Optional[Loop]:
-    """Innermost sequential loop enclosing ``phase`` whose var appears in
-    the bases: the loop each iteration of which stages a new tile.
+def _tile_loop(enclosing: Tuple[Loop, ...], base_vars: set) -> Optional[int]:
+    """Position in ``enclosing`` (a phase's block-level sequential loops)
+    of the innermost one whose var appears in the bases: the loop each
+    iteration of which stages a new tile.
 
     After peeling there are two tile loops with the same variable name and
     each phase must stage its copies in its own.
     """
-    enclosing, _container, _idx = locate(ks.items, phase)
-    for loop in reversed(enclosing):
-        if loop.mapped_to is None and loop.var in base_vars:
-            return loop
+    for pos in range(len(enclosing) - 1, -1, -1):
+        if enclosing[pos].var in base_vars:
+            return pos
     return None
 
 
@@ -163,10 +166,13 @@ class SMAlloc(Transform):
     def _resolve_target(comp, target: str) -> str:
         """Follow GM_map's derived arrays to the one the kernel references."""
         require(target in comp.arrays, f"array {target!r} not declared")
+        names = derived_names(comp, target)
+        if len(names) == 1:
+            return target
         referenced = {
             r.array for stmt in iter_statements(comp.main_stage.body) for r in stmt.all_refs()
         }
-        for name in reversed(derived_names(comp, target)):  # prefer the derived array
+        for name in reversed(names):  # prefer the derived array
             if name in referenced:
                 return name
         return target
@@ -177,29 +183,30 @@ class SMAlloc(Transform):
         target, mode = args
         if mode not in ALLOC_MODES:
             raise TransformError(f"unknown allocation mode {mode!r}")
-        comp = comp.clone()
         # An earlier GM_map may have retargeted references to a derived
         # array (A -> A_full / A_t): stage the array actually referenced.
         target = self._resolve_target(comp, target)
         arr = comp.array(target)
         require(arr.storage == "global", f"{target} is not in global memory")
         require(arr.rank in (2, 3), "SM_alloc supports 2-D (or batched 3-D) matrices")
-        ks = KernelStructure(comp.main_stage)
+        phases = KernelStructure(comp.main_stage).scoped_compute_phases()
         p = comp.params
         tx_n, ty_n = p.get("TX", 16), p.get("TY", 4)
 
-        # Plan from each reference's tile.  Only tiles no reference writes
-        # are staged (a written tile must stay visible in global memory);
-        # phases whose footprint cannot be sized at compile time (e.g. a
-        # serialised triangular solve) keep their global accesses.
-        plans = []  # (phase, tile of each ref, staged bases, tile loop)
+        # Plan on the input from each reference's tile.  Only tiles no
+        # reference writes are staged (a written tile must stay visible in
+        # global memory); phases whose footprint cannot be sized at compile
+        # time (e.g. a serialised triangular solve) keep their global
+        # accesses.  A plan is (phase position, tile of each ref, staged
+        # bases, tile loop position in the phase's enclosing loops).
+        plans = []
         extents: Optional[Tuple[int, int]] = None
-        for phase in ks.compute_phases():
-            reads, writes = _read_write_refs(phase, target)
+        for pos, (phase, enclosing) in enumerate(phases):
+            reads, writes, loops = _phase_facts(phase, target)
             if not reads:
                 continue
             try:
-                local = collect_var_ranges(list(iter_loops([phase])), optimistic=True)
+                local = collect_var_ranges(loops, optimistic=True)
                 tiles = {r: _tile(r, local) for r in dict.fromkeys(reads + writes)}
             except TransformFailure:
                 continue  # unsized footprint: leave this phase in global memory
@@ -211,8 +218,8 @@ class SMAlloc(Transform):
                 if extents not in (None, (s0 + 1, s1 + 1)):
                     continue  # only one tile geometry per shared array
                 extents = (s0 + 1, s1 + 1)
-                base_vars = {v for b in bases for v in b.free_vars()}
-                plans.append((phase, tiles, bases, _tile_loop(ks, phase, base_vars)))
+                base_vars = {v for b in bases for v in b.terms}
+                plans.append((pos, tiles, bases, _tile_loop(enclosing, base_vars)))
         require(bool(plans), f"no stageable read-only references to {target}")
         # Staging discipline: once any plan stages per reduction-tile (inside
         # a sequential block loop), a block-top staging of the same shared
@@ -221,18 +228,25 @@ class SMAlloc(Transform):
         # ones within the same tile iteration).
         if any(scope is not None for *_plan, scope in plans):
             plans = [plan for plan in plans if plan[3] is not None]
-        first_per_scope: Dict[int, tuple] = {}
+        first_per_scope: Dict[int, tuple] = {}  # tile loop's id (0: block top)
         for plan in plans:
-            first_per_scope.setdefault(id(plan[3]), plan)
+            pos, _tiles, _bases, scope = plan
+            key = id(phases[pos][1][scope]) if scope is not None else 0
+            first_per_scope.setdefault(key, plan)
         e0, e1 = extents
         require(
             e0 * e1 <= 64 * 1024,
             f"{target} footprint {e0}x{e1} too large for shared memory",
         )
-
-        # Declare the shared tile with anti-bank-conflict padding.
         shared_name = f"{target}_s"
         require(shared_name not in comp.arrays, f"{shared_name} already allocated")
+
+        # The step applies: rewrite a clone, whose phases sit at the
+        # positions planned on the input.
+        comp = comp.clone()
+        ks = KernelStructure(comp.main_stage)
+        phases = ks.scoped_compute_phases()
+        # Declare the shared tile with anti-bank-conflict padding.
         if mode == "Transpose":
             minor = e0
             dims = (const(e1), const(e0 + (1 if e0 % SMEM_BANKS == 0 else 0)))
@@ -244,8 +258,9 @@ class SMAlloc(Transform):
             Array(shared_name, dims, storage="shared", layout="row", pad=pad, source=target)
         )
 
-        for phase, tiles, bases, scope in first_per_scope.values():
-            host = scope.body if scope is not None else ks.items
+        for pos, tiles, bases, scope in first_per_scope.values():
+            phase, enclosing = phases[pos]
+            host = enclosing[scope].body if scope is not None else ks.items
             host[0:0] = [
                 _copy_phase(arr, shared_name, mode, bases, extents, tx_n, ty_n),
                 Barrier("smem tile ready"),
@@ -267,27 +282,29 @@ class RegAlloc(Transform):
         if len(args) != 1:
             raise TransformError(f"Reg_alloc expects (array,), got {args}")
         target = args[0]
-        comp = comp.clone()
         # The paper's scripts copied from GEMM name the output "C"; for
         # routines that update in place (TRSM) the output array differs —
         # resolve by name, failing cleanly when absent.
         require(target in comp.arrays, f"array {target!r} not declared")
         arr = comp.array(target)
         require(arr.storage == "global", f"{target} is not in global memory")
-        stage = comp.main_stage
-        ks = KernelStructure(stage)
         p = comp.params
         tx_n, ty_n = p.get("TX", 16), p.get("TY", 4)
 
-        # All compute-phase refs must be the same accumulator reference.
-        phases: List[Loop] = []
+        # Plan on the input.  All compute-phase refs must be the same
+        # accumulator reference.
+        used: List[int] = []  # positions of the phases that reference target
         all_refs: List[ArrayRef] = []
-        for ph in ks.compute_phases():
-            reads, writes = _read_write_refs(ph, target)
+        phase0_loops: List[Loop] = []
+        phases = KernelStructure(comp.main_stage).scoped_compute_phases()
+        for pos, (ph, _enclosing) in enumerate(phases):
+            reads, writes, loops = _phase_facts(ph, target)
             if reads or writes:
-                phases.append(ph)
+                if not used:
+                    phase0_loops = loops
+                used.append(pos)
                 all_refs += reads + writes
-        require(bool(phases), f"no compute-phase references to {target}")
+        require(bool(used), f"no compute-phase references to {target}")
         first = all_refs[0]
         require(
             all(r == first for r in all_refs),
@@ -298,14 +315,14 @@ class RegAlloc(Transform):
         # file; everything else must be block-invariant across the reduction.
         ref_vars = set()
         for idx in first.indices:
-            ref_vars |= set(idx.free_vars())
+            ref_vars.update(idx.terms)
         index_vars: List[Tuple[str, int]] = []  # (var, trip)
         base_vars = set()
         # Uniform refs imply uniform structure: classify against the first
         # phase's loops.
-        phase0 = phases[0]
+        phase0, enclosing0 = phases[used[0]]
         tx_var, ty_var = phase_thread_vars(phase0)
-        loops = {lp.var: lp for lp in iter_loops([phase0])}
+        loops = {lp.var: lp for lp in phase0_loops}
         for name in sorted(ref_vars):
             if name in (tx_var, ty_var):
                 continue
@@ -330,22 +347,28 @@ class RegAlloc(Transform):
             "kk" not in base_vars,
             f"{target} footprint varies with the reduction tile; promotion fails",
         )
-
         reg_name = f"{target}_r"
         require(reg_name not in comp.arrays, f"{reg_name} already allocated")
+        scope = _tile_loop(enclosing0, base_vars)
+
+        # The step applies: rewrite a clone, whose phases sit at the
+        # positions planned on the input.
+        comp = comp.clone()
+        ks = KernelStructure(comp.main_stage)
+        phases = ks.scoped_compute_phases()
         dims = (const(tx_n), const(ty_n)) + tuple(const(t) for _n, t in index_vars)
         comp.add_array(Array(reg_name, dims, storage="register", layout="row", source=target))
 
-        reg_index_exprs = [var(tx_var), var(ty_var)] + [var(n) for n, _t in index_vars]
+        # Rewrite compute refs (every one to target is ``first``).
+        compute_ref = ArrayRef(
+            reg_name, [var(tx_var), var(ty_var)] + [var(n) for n, _t in index_vars]
+        )
 
-        # Rewrite compute refs.
         def rewrite_expr(ref: ArrayRef) -> ArrayRef:
-            if ref.array != target or ref != first:
-                return ref
-            return ArrayRef(reg_name, reg_index_exprs)
+            return compute_ref if ref.array == target else ref
 
-        for ph in phases:
-            map_statements(ph.body, lambda stmt: stmt.map_refs(rewrite_expr))
+        for pos in used:
+            map_statements(phases[pos][0].body, lambda stmt: stmt.map_refs(rewrite_expr))
 
         # Load / store staging phases.
         def staging(op_load: bool) -> Loop:
@@ -357,8 +380,7 @@ class RegAlloc(Transform):
                 body = [Loop(name, 0, trip, body, label=fresh_label(f"Lreg_{name}"))]
             return make_phase(body, tx_n, ty_n, kind="regload" if op_load else "regstore")
 
-        scope = _tile_loop(ks, phase0, base_vars)
-        host_body = scope.body if scope is not None else ks.items
+        host_body = phases[used[0]][1][scope].body if scope is not None else ks.items
         host_body.insert(0, staging(op_load=True))
         host_body.insert(1, Barrier("registers loaded"))
         host_body.append(Barrier("compute done"))

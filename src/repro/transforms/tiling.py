@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence
 
 from ..ir.affine import AffineExpr, MaxExpr, MinExpr, aff, bound_min
 from ..ir.ast import Barrier, Loop, Node, fresh_label
-from ..ir.visitors import find_loop, locate, replace_node
+from ..ir.visitors import find_loop, iter_loops, locate, replace_node
 from .base import (
     POOL_POLYHEDRAL,
     Transform,
@@ -28,7 +28,7 @@ from .base import (
     TransformFailure,
     TransformResult,
 )
-from .footprint import collect_var_ranges, max_over, min_over
+from .footprint import collect_var_ranges, const_difference, max_over, min_over
 from .util import KernelStructure, require
 
 __all__ = ["LoopTiling"]
@@ -170,11 +170,17 @@ class LoopUnroll(Transform):
     def apply(self, comp, args: Sequence[str], params: Dict[str, int]) -> TransformResult:
         if not args:
             raise TransformError("loop_unroll expects at least one loop label")
-        comp = comp.clone()
-        stage = comp.main_stage
-        notes = []
+        # Plan on the input: every named loop's factor, or the first failure.
+        wanted = set(args)
+        loops: Dict[str, Loop] = {}
+        for loop in iter_loops(comp.main_stage.body):
+            if loop.label in wanted and loop.label not in loops:
+                loops[loop.label] = loop
+                if len(loops) == len(wanted):
+                    break
+        factors: Dict[str, int] = {}
         for label in args:
-            loop = find_loop(stage.body, label)
+            loop = loops.get(label)
             require(loop is not None, f"loop {label!r} not found")
             if isinstance(loop.lower, (MinExpr, MaxExpr)) or isinstance(
                 loop.upper, (MinExpr, MaxExpr)
@@ -182,13 +188,19 @@ class LoopUnroll(Transform):
                 raise TransformFailure(
                     f"loop {label!r} is non-rectangular (min/max bounds); unroll fails"
                 )
-            diff = loop.upper - loop.lower
+            diff = const_difference(loop.upper, loop.lower)
             require(
-                diff.is_constant,
+                diff is not None,
                 f"loop {label!r} has a non-constant trip count; unroll fails",
             )
-            trip = max(0, -(-diff.constant_value // loop.step))
+            trip = max(0, -(-diff // loop.step))
             require(trip > 0, f"loop {label!r} has an empty domain")
-            loop.unroll = min(trip, self.MAX_UNROLL)
-            notes.append(f"{label}: unroll x{loop.unroll}")
+            factors[label] = min(trip, self.MAX_UNROLL)
+        notes = [f"{label}: unroll x{factors[label]}" for label in args]
+        comp = comp.clone()
+        for loop in iter_loops(comp.main_stage.body):
+            if loop.label in factors:
+                loop.unroll = factors.pop(loop.label)
+                if not factors:
+                    break
         return TransformResult(comp, notes=notes)

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..ir.ast import Loop, Node, Stage, fresh_label
-from ..ir.visitors import walk
+from ..ir.ast import Guard, Loop, Node, Stage, fresh_label
 from .base import TransformError, TransformFailure
 
 __all__ = [
@@ -136,19 +135,43 @@ class KernelStructure:
     def block_vars(self) -> List[str]:
         return [loop.var for loop in self.block_loops]
 
-    def _block_level_loops(self) -> List[Loop]:
-        """Loops of ``items`` that no mapped loop (within ``items``) encloses."""
-        below = walk(self.items, descend=lambda n: not isinstance(n, Loop) or n.mapped_to is None)
-        return [node for node in below if isinstance(node, Loop)]
+    def _block_level_loops(self) -> List[Tuple[Loop, Tuple[Loop, ...]]]:
+        """Loops of ``items`` that no mapped loop (within ``items``) encloses,
+        preorder, each with the unmapped loops enclosing it, outermost
+        first.  A clone of the stage lists them at the same positions."""
+        out: List[Tuple[Loop, Tuple[Loop, ...]]] = []
+
+        def visit(body: Sequence[Node], enclosing: Tuple[Loop, ...]) -> None:
+            for node in body:
+                if isinstance(node, Loop):
+                    out.append((node, enclosing))
+                    if node.mapped_to is None:
+                        visit(node.body, enclosing + (node,))
+                elif isinstance(node, Guard):
+                    visit(node.body + node.else_body, enclosing)
+
+        visit(self.items, ())
+        return out
 
     def phases(self) -> List[Loop]:
         """All phases in block order, descending into sequential block loops."""
-        return [lp for lp in self._block_level_loops() if lp.mapped_to == "thread.x"]
+        return [lp for lp, _enclosing in self._block_level_loops() if lp.mapped_to == "thread.x"]
 
     def sequential_block_loops(self) -> List[Loop]:
         """Block-level sequential loops (kk tile loop, ibb row-block loop)."""
-        return [lp for lp in self._block_level_loops() if lp.mapped_to is None]
+        return [lp for lp, _enclosing in self._block_level_loops() if lp.mapped_to is None]
 
     def compute_phases(self) -> List[Loop]:
         """Phases tagged as compute (excludes copy / register staging)."""
-        return [p for p in self.phases() if phase_kind(p) == "compute"]
+        return [phase for phase, _enclosing in self.scoped_compute_phases()]
+
+    def scoped_compute_phases(self) -> List[Tuple[Loop, Tuple[Loop, ...]]]:
+        """:meth:`compute_phases`, each with the block-level sequential
+        loops enclosing it, outermost first: a transform can plan on its
+        read-only input and apply the plan to a clone made afterwards,
+        which lists its phases at the same positions."""
+        return [
+            (lp, enclosing)
+            for lp, enclosing in self._block_level_loops()
+            if lp.mapped_to == "thread.x" and phase_kind(lp) == "compute"
+        ]

@@ -73,3 +73,44 @@ class TestRun:
         )
         # The remap launch contributes its own time.
         assert run.timing.kernels[0].time_s > 0
+
+
+class TestLazyCounters:
+    """The profile counters are derived from the models on first read:
+    a search, which never reads them, pays nothing for them."""
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        import repro.gpu.simulator as simulator
+
+        calls = {"count_profile": 0, "profile": 0}
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(simulator, "count_profile", counted(simulator.count_profile, "count_profile"))
+        monkeypatch.setattr(SimulatedGPU, "profile", counted(SimulatedGPU.profile, "profile"))
+        return calls
+
+    def test_cold_search_counts_no_profile_counters(self, tally):
+        from repro.tuner import LibraryGenerator, TuningOptions
+
+        gen = LibraryGenerator(GTX_285, options=TuningOptions(jobs=1))
+        for name in ("GEMM-TN", "TRSM-LL-T"):
+            gen.generate(name)
+        assert tally["profile"] > 100
+        assert tally["count_profile"] == 0
+
+    def test_counters_computed_once_on_read(self, tally, gpu, kernel):
+        from repro.gpu import count_profile
+
+        run = gpu.profile(kernel, {"M": 512, "N": 512, "K": 512})
+        assert tally["count_profile"] == 0
+        first = run.counters
+        assert run.counters is first
+        assert tally["count_profile"] == 1
+        assert first == count_profile(GTX_285, run.models)
